@@ -109,15 +109,7 @@ fn quantize_workload(x: &Tensor3, w: &Tensor4, cfg: &Conv2dCfg) -> (QTensor3, QC
         .map(|sw| in_qp.scale * sw / out_qp.scale)
         .collect();
     let bias_q = vec![0i32; qw.k()];
-    (
-        qx,
-        QConvParams {
-            weight: qw,
-            bias_q,
-            multipliers,
-            out_qp,
-        },
-    )
+    (qx, QConvParams::new(&qw, bias_q, multipliers, out_qp))
 }
 
 /// Times one closure under criterion, recording every sample (first

@@ -95,7 +95,7 @@ impl QuantizedNet {
             .iter()
             .flatten()
             .map(|l| match l {
-                QLayer::Conv(p) => p.weight.nnz(),
+                QLayer::Conv(p) => p.nnz(),
                 QLayer::DwConv { w, .. } => w.nnz(),
                 QLayer::Linear(p) => p.w_q.iter().filter(|&&q| q != 0).count(),
             })
@@ -190,12 +190,12 @@ pub fn ptq(net: &Network, params: &Params, calib: &[Tensor3]) -> QuantizedNet {
                     .iter()
                     .map(|&sw| s_in * sw / out_qp.scale)
                     .collect();
-                Some(QLayer::Conv(QConvParams {
-                    weight,
+                Some(QLayer::Conv(QConvParams::new(
+                    &weight,
                     bias_q,
                     multipliers,
                     out_qp,
-                }))
+                )))
             }
             Op::DwConv { .. } => {
                 let lp = params.dwconv(id);

@@ -10,29 +10,150 @@
 //! ```
 //!
 //! where `m[k] = s_in * s_w[k] / s_out` folds the three scales into one
-//! per-channel requantization multiplier. Every accumulation is exact
-//! integer arithmetic, so — unlike the f32 kernels — the vectorized and
-//! scalar paths (and any accumulation order) are trivially identical;
-//! only the final rounding touches floating point, and it is evaluated
-//! once per output element from the same i32 accumulator. Accumulators
-//! cannot overflow: `|w| <= 127`, `|x - zp| <= 255`, and the largest
-//! victim layer has `512 * 3 * 3` taps, bounding `|acc|` well under
-//! `2^31`.
+//! per-channel requantization multiplier.
+//!
+//! # One kernel: im2col lowering times per-filter tap lists
+//!
+//! * **Compaction, once per layer.** [`QConvParams::new`] (called by PTQ)
+//!   keeps only the weight taps `(c, r, s)` that some filter uses, and
+//!   stores each filter as a CSR row of `(tap slot, i8 weight)` pairs. The
+//!   dense weight tensor is not retained: pruned weights, and taps pruned
+//!   in every filter, cost nothing from then on.
+//! * **Lowering, per call.** The zero-point-centred input is lowered into
+//!   a `used_taps x out_positions` i32 matrix whose row `t` holds the
+//!   value each output position reads through tap `t`. Stride and
+//!   padding are resolved here, with padding cells left at 0, so the
+//!   multiply serves every stride without bounds logic. High-resolution
+//!   layers lower their taps in blocks of at most 64 KiB, which bounds
+//!   the scratch per call.
+//! * **Multiply.** Filter `k` starts a row of accumulators at
+//!   `bias_q[k]`, adds one [`crate::simd::qaxpy`] per surviving weight
+//!   across all output positions, then requantizes.
+//!
+//! Every accumulation is exact integer arithmetic, so the sum does not
+//! depend on the order of its terms: [`qconv2d`] is byte-identical to the
+//! scalar loop nest [`qconv2d_reference`], the test oracle, on every
+//! stride, padding and dispatch mode. Only the final rounding touches
+//! floating point, and it is evaluated once per output element from the
+//! same i32 accumulator. Accumulators cannot overflow: `|w| <= 127`,
+//! `|x - zp| <= 255`, a padding cell contributes 0, and the largest victim
+//! layer has `512 * 3 * 3` taps, bounding the weighted sum by
+//! `4608 * 127 * 255 < 1.5e8`, well under `2^31`.
 
 use crate::conv::{conv_out_dim, same_pad, Conv2dCfg, Padding};
 use crate::qtensor::{QTensor3, QTensor4, QuantParams};
+use std::ops::Range;
 
-/// Requantization bundle for one quantized conv layer.
+/// One quantized conv layer: its weights compacted to per-filter tap
+/// lists, plus the requantization bundle.
 #[derive(Clone, Debug)]
 pub struct QConvParams {
-    /// Symmetric per-output-channel quantized weights.
-    pub weight: QTensor4,
+    /// Weight dims `(K, C, R, S)`.
+    dims: [usize; 4],
+    /// Taps `(c * R + r) * S + s` that at least one filter uses,
+    /// ascending; a tap's position here is its slot.
+    taps: Vec<u32>,
+    /// Filter `k` owns CSR entries `offsets[k]..offsets[k + 1]`.
+    offsets: Vec<u32>,
+    /// Tap slot of each surviving weight.
+    slots: Vec<u16>,
+    /// Value of each surviving weight (never 0).
+    values: Vec<i8>,
     /// Bias in accumulator units: `round(bias[k] / (s_in * s_w[k]))`.
     pub bias_q: Vec<i32>,
     /// Per-channel requantization multiplier `s_in * s_w[k] / s_out`.
     pub multipliers: Vec<f32>,
     /// Output activation quantization.
     pub out_qp: QuantParams,
+}
+
+impl QConvParams {
+    /// Compacts `weight` into per-filter tap lists and bundles it with
+    /// the requantization parameters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bias_q` or `multipliers` does not have one entry per
+    /// filter, or if more than 65536 taps are in use.
+    pub fn new(
+        weight: &QTensor4,
+        bias_q: Vec<i32>,
+        multipliers: Vec<f32>,
+        out_qp: QuantParams,
+    ) -> QConvParams {
+        let dims = [weight.k(), weight.c(), weight.r(), weight.s()];
+        assert_eq!(bias_q.len(), dims[0], "bias length must equal K");
+        assert_eq!(multipliers.len(), dims[0], "multiplier length must equal K");
+        let per = dims[1] * dims[2] * dims[3];
+        let filters = || (0..dims[0]).map(|k| &weight.data()[k * per..(k + 1) * per]);
+        let mut used = vec![false; per];
+        for filter in filters() {
+            for (u, &w) in used.iter_mut().zip(filter) {
+                *u |= w != 0;
+            }
+        }
+        let taps: Vec<u32> = (0..per as u32).filter(|&t| used[t as usize]).collect();
+        assert!(
+            taps.len() <= usize::from(u16::MAX) + 1,
+            "{} used taps exceed the u16 slot range",
+            taps.len()
+        );
+        let mut slot_of = vec![0u16; per];
+        for (slot, &t) in taps.iter().enumerate() {
+            slot_of[t as usize] = slot as u16;
+        }
+        let nnz = weight.nnz();
+        let mut offsets = Vec::with_capacity(dims[0] + 1);
+        let (mut slots, mut values) = (Vec::with_capacity(nnz), Vec::with_capacity(nnz));
+        offsets.push(0u32);
+        for filter in filters() {
+            for (t, &w) in filter.iter().enumerate().filter(|(_, &w)| w != 0) {
+                slots.push(slot_of[t]);
+                values.push(w);
+            }
+            offsets.push(slots.len() as u32);
+        }
+        QConvParams {
+            dims,
+            taps,
+            offsets,
+            slots,
+            values,
+            bias_q,
+            multipliers,
+            out_qp,
+        }
+    }
+
+    /// Output channels.
+    fn k(&self) -> usize {
+        self.dims[0]
+    }
+
+    /// Input channels.
+    fn c(&self) -> usize {
+        self.dims[1]
+    }
+
+    /// Kernel rows.
+    fn r(&self) -> usize {
+        self.dims[2]
+    }
+
+    /// Kernel columns.
+    fn s(&self) -> usize {
+        self.dims[3]
+    }
+
+    /// Surviving (nonzero) quantized weights.
+    pub fn nnz(&self) -> usize {
+        self.values.len()
+    }
+
+    /// Taps `(c, r, s)` used by at least one filter.
+    pub fn used_taps(&self) -> usize {
+        self.taps.len()
+    }
 }
 
 /// Clamped round-to-nearest requantization of one i32 accumulator.
@@ -42,20 +163,146 @@ pub fn requantize(acc: i32, multiplier: f32, zp_out: i32) -> i8 {
     q.clamp(-128.0, 127.0) as i8
 }
 
-/// Quantized convolution. Dispatches to a rowwise kernel vectorized over
-/// output-x lanes ([`crate::simd::qaxpy`]) at stride 1, falling back to
-/// the reference loop nest otherwise; both produce identical bytes.
+/// Bytes of lowered input held at once. A layer whose full lowering is
+/// larger (the high-resolution layers) lowers its taps in blocks of this
+/// size, which bounds the kernel's scratch without shortening the
+/// [`crate::simd::qaxpy`] runs, which always span every output position.
+const LOWERED_BLOCK_BYTES: usize = 64 * 1024;
+
+/// Quantized convolution: lowers the input over the layer's used taps,
+/// then accumulates each filter's surviving weights across all output
+/// positions with [`crate::simd::qaxpy`] (see the module docs). One
+/// kernel serves every stride and padding.
 ///
 /// # Panics
 ///
-/// Panics if shapes or per-channel vector lengths disagree, or if
-/// `cfg.stride == 0`.
+/// Panics if the input channels or per-channel vector lengths disagree
+/// with `p`, or if `cfg.stride == 0`.
 pub fn qconv2d(input: &QTensor3, p: &QConvParams, cfg: &Conv2dCfg) -> QTensor3 {
+    qconv2d_blocked(input, p, cfg, LOWERED_BLOCK_BYTES)
+}
+
+/// [`qconv2d`] with the lowering scratch bounded by `block_bytes`
+/// (at least one tap per block); the unit tests shrink it to force many
+/// blocks.
+fn qconv2d_blocked(
+    input: &QTensor3,
+    p: &QConvParams,
+    cfg: &Conv2dCfg,
+    block_bytes: usize,
+) -> QTensor3 {
     check_args(input, p, cfg);
-    if cfg.stride == 1 {
-        qconv2d_rowwise(input, p, cfg)
-    } else {
-        qconv2d_reference(input, p, cfg)
+    let g = Geometry::new(input, p.r(), p.s(), cfg);
+    let npos = g.out_h * g.out_w;
+    // One accumulator row per filter, seeded with its bias.
+    let mut acc: Vec<i32> = p
+        .bias_q
+        .iter()
+        .flat_map(|&b| std::iter::repeat_n(b, npos))
+        .collect();
+    // Each filter's next CSR entry. Entries ascend by slot, so every tap
+    // block consumes a prefix of what is left.
+    let mut next: Vec<usize> = p.offsets[..p.k()].iter().map(|&o| o as usize).collect();
+    let block = (block_bytes / (4 * npos).max(1)).max(1);
+    let mut lowered = Vec::new();
+    for t0 in (0..p.used_taps()).step_by(block) {
+        let t1 = (t0 + block).min(p.used_taps());
+        lower(input, p, &g, t0..t1, &mut lowered);
+        for (k, start) in next.iter_mut().enumerate() {
+            let left = &p.slots[*start..p.offsets[k + 1] as usize];
+            let entries = *start..*start + left.partition_point(|&s| usize::from(s) < t1);
+            *start = entries.end;
+            let acc_k = &mut acc[k * npos..][..npos];
+            for (&slot, &w) in p.slots[entries.clone()].iter().zip(&p.values[entries]) {
+                let row = &lowered[(usize::from(slot) - t0) * npos..][..npos];
+                crate::simd::qaxpy(acc_k, row, i32::from(w));
+            }
+        }
+    }
+    let zp_out = p.out_qp.zero_point;
+    let mut out = Vec::with_capacity(acc.len());
+    for (k, &m) in p.multipliers.iter().enumerate() {
+        out.extend(
+            acc[k * npos..][..npos]
+                .iter()
+                .map(|&a| requantize(a, m, zp_out)),
+        );
+    }
+    QTensor3::from_raw(p.k(), g.out_h, g.out_w, out, p.out_qp)
+}
+
+/// Lowers the zero-point-centred input for the used taps in slots
+/// `slots` to one row of `out_h * out_w` values per tap; cells that read
+/// padding stay 0.
+fn lower(
+    input: &QTensor3,
+    p: &QConvParams,
+    g: &Geometry,
+    slots: Range<usize>,
+    lowered: &mut Vec<i32>,
+) {
+    let (in_h, in_w) = (input.h(), input.w());
+    let npos = g.out_h * g.out_w;
+    let zp_in = input.qp.zero_point;
+    lowered.clear();
+    lowered.resize(slots.len() * npos, 0);
+    if npos == 0 {
+        return;
+    }
+    let (kr, ks) = (p.r(), p.s());
+    for (&tap, row) in p.taps[slots].iter().zip(lowered.chunks_exact_mut(npos)) {
+        let tap = tap as usize;
+        let (c, r, s) = (tap / (kr * ks), tap / ks % kr, tap % ks);
+        let qs = g.valid_outputs(s, g.pad_x, in_w, g.out_w);
+        if qs.is_empty() {
+            continue; // every read of this tap lands in padding
+        }
+        for pq in g.valid_outputs(r, g.pad_y, in_h, g.out_h) {
+            let iy = pq * g.stride + r - g.pad_y;
+            let in_row = &input.data()[(c * in_h + iy) * in_w..][..in_w];
+            let src = in_row[qs.start * g.stride + s - g.pad_x..]
+                .iter()
+                .step_by(g.stride);
+            for (dst, &x) in row[pq * g.out_w..][qs.clone()].iter_mut().zip(src) {
+                *dst = i32::from(x) - zp_in;
+            }
+        }
+    }
+}
+
+/// Output size, stride and leading padding of one conv call.
+struct Geometry {
+    out_h: usize,
+    out_w: usize,
+    pad_y: usize,
+    pad_x: usize,
+    stride: usize,
+}
+
+impl Geometry {
+    fn new(input: &QTensor3, kr: usize, ks: usize, cfg: &Conv2dCfg) -> Geometry {
+        let (pad_y, pad_x) = match cfg.padding {
+            Padding::Same => (
+                same_pad(input.h(), kr, cfg.stride),
+                same_pad(input.w(), ks, cfg.stride),
+            ),
+            Padding::Valid => (0, 0),
+        };
+        Geometry {
+            out_h: conv_out_dim(input.h(), kr, cfg.stride, cfg.padding),
+            out_w: conv_out_dim(input.w(), ks, cfg.stride, cfg.padding),
+            pad_y,
+            pad_x,
+            stride: cfg.stride,
+        }
+    }
+
+    /// Output indices `o` along one axis whose input coordinate
+    /// `o * stride + tap - pad` lies inside `0..in_len`.
+    fn valid_outputs(&self, tap: usize, pad: usize, in_len: usize, out_len: usize) -> Range<usize> {
+        let lo = pad.saturating_sub(tap).div_ceil(self.stride);
+        let hi = (in_len + pad).saturating_sub(tap).div_ceil(self.stride);
+        lo..hi.min(out_len).max(lo)
     }
 }
 
@@ -63,54 +310,52 @@ fn check_args(input: &QTensor3, p: &QConvParams, cfg: &Conv2dCfg) {
     assert!(cfg.stride > 0, "stride must be positive");
     assert_eq!(
         input.c(),
-        p.weight.c(),
+        p.c(),
         "input channels {} do not match weight channels {}",
         input.c(),
-        p.weight.c()
+        p.c()
     );
-    assert_eq!(p.bias_q.len(), p.weight.k(), "bias length must equal K");
-    assert_eq!(
-        p.multipliers.len(),
-        p.weight.k(),
-        "multiplier length must equal K"
-    );
+    assert_eq!(p.bias_q.len(), p.k(), "bias length must equal K");
+    assert_eq!(p.multipliers.len(), p.k(), "multiplier length must equal K");
 }
 
-fn geometry(input: &QTensor3, p: &QConvParams, cfg: &Conv2dCfg) -> (usize, usize, usize, usize) {
-    let (kr, ks) = (p.weight.r(), p.weight.s());
-    let out_h = conv_out_dim(input.h(), kr, cfg.stride, cfg.padding);
-    let out_w = conv_out_dim(input.w(), ks, cfg.stride, cfg.padding);
-    let (pad_y, pad_x) = match cfg.padding {
-        Padding::Same => (
-            same_pad(input.h(), kr, cfg.stride),
-            same_pad(input.w(), ks, cfg.stride),
-        ),
-        Padding::Valid => (0, 0),
-    };
-    (out_h, out_w, pad_y, pad_x)
-}
-
-/// Scalar i32 reference loop nest — the specification both the rowwise
-/// kernel and the differential proptests compare against.
-pub fn qconv2d_reference(input: &QTensor3, p: &QConvParams, cfg: &Conv2dCfg) -> QTensor3 {
+/// Scalar i32 loop nest over the dense `weight` — the specification
+/// [`qconv2d`] and the differential tests compare against. It reads only
+/// the bias, multipliers and output quantization from `p`, never the
+/// compacted tap lists, so it stays independent of the compaction.
+///
+/// # Panics
+///
+/// Panics as [`qconv2d`] does, or if `weight`'s dims differ from `p`'s.
+pub fn qconv2d_reference(
+    input: &QTensor3,
+    weight: &QTensor4,
+    p: &QConvParams,
+    cfg: &Conv2dCfg,
+) -> QTensor3 {
     check_args(input, p, cfg);
-    let (out_h, out_w, pad_y, pad_x) = geometry(input, p, cfg);
-    let w = &p.weight;
+    let w = weight;
+    assert_eq!(
+        [w.k(), w.c(), w.r(), w.s()],
+        p.dims,
+        "dense weight dims differ from the params"
+    );
+    let g = Geometry::new(input, w.r(), w.s(), cfg);
     let zp_in = input.qp.zero_point;
     let zp_out = p.out_qp.zero_point;
-    let mut out = vec![0i8; w.k() * out_h * out_w];
+    let mut out = vec![0i8; w.k() * g.out_h * g.out_w];
     for k in 0..w.k() {
-        for pq in 0..out_h {
-            for q in 0..out_w {
+        for pq in 0..g.out_h {
+            for q in 0..g.out_w {
                 let mut acc = p.bias_q[k];
                 for c in 0..input.c() {
                     for r in 0..w.r() {
-                        let iy = (pq * cfg.stride + r) as isize - pad_y as isize;
+                        let iy = (pq * cfg.stride + r) as isize - g.pad_y as isize;
                         if iy < 0 || iy >= input.h() as isize {
                             continue;
                         }
                         for s in 0..w.s() {
-                            let ix = (q * cfg.stride + s) as isize - pad_x as isize;
+                            let ix = (q * cfg.stride + s) as isize - g.pad_x as isize;
                             if ix < 0 || ix >= input.w() as isize {
                                 continue;
                             }
@@ -124,66 +369,11 @@ pub fn qconv2d_reference(input: &QTensor3, p: &QConvParams, cfg: &Conv2dCfg) -> 
                         }
                     }
                 }
-                out[(k * out_h + pq) * out_w + q] = requantize(acc, p.multipliers[k], zp_out);
+                out[(k * g.out_h + pq) * g.out_w + q] = requantize(acc, p.multipliers[k], zp_out);
             }
         }
     }
-    QTensor3::from_raw(w.k(), out_h, out_w, out, p.out_qp)
-}
-
-/// Stride-1 kernel accumulating whole output rows: for each `(k, p)` the
-/// i32 accumulator row starts at `bias_q[k]` and every surviving weight
-/// tap contributes one [`crate::simd::qaxpy`] over the valid output-x
-/// range. Integer math makes this identical to the reference regardless
-/// of SIMD mode.
-fn qconv2d_rowwise(input: &QTensor3, p: &QConvParams, cfg: &Conv2dCfg) -> QTensor3 {
-    let (out_h, out_w, pad_y, pad_x) = geometry(input, p, cfg);
-    let w = &p.weight;
-    let zp_in = input.qp.zero_point;
-    let zp_out = p.out_qp.zero_point;
-    let (in_h, in_w) = (input.h(), input.w());
-    // Zero-point-centered input in accumulator units, one contiguous
-    // i32 row per (c, y).
-    let centered: Vec<i32> = input.data().iter().map(|&q| q as i32 - zp_in).collect();
-    let mut out = vec![0i8; w.k() * out_h * out_w];
-    let mut acc_row = vec![0i32; out_w];
-    for k in 0..w.k() {
-        for pq in 0..out_h {
-            acc_row.fill(p.bias_q[k]);
-            for c in 0..input.c() {
-                for r in 0..w.r() {
-                    let iy = (pq + r) as isize - pad_y as isize;
-                    if iy < 0 || iy >= in_h as isize {
-                        continue;
-                    }
-                    let in_row = &centered[(c * in_h + iy as usize) * in_w..][..in_w];
-                    for s in 0..w.s() {
-                        let wv = w.at(k, c, r, s) as i32;
-                        if wv == 0 {
-                            continue; // pruned weight
-                        }
-                        // Valid output-x range: 0 <= q + s - pad_x < in_w.
-                        let q_lo = pad_x.saturating_sub(s);
-                        let q_hi = (in_w + pad_x).saturating_sub(s).min(out_w);
-                        if q_lo >= q_hi {
-                            continue;
-                        }
-                        let x_lo = q_lo + s - pad_x;
-                        crate::simd::qaxpy(
-                            &mut acc_row[q_lo..q_hi],
-                            &in_row[x_lo..x_lo + (q_hi - q_lo)],
-                            wv,
-                        );
-                    }
-                }
-            }
-            let out_row = &mut out[(k * out_h + pq) * out_w..][..out_w];
-            for (dst, &acc) in out_row.iter_mut().zip(&acc_row) {
-                *dst = requantize(acc, p.multipliers[k], zp_out);
-            }
-        }
-    }
-    QTensor3::from_raw(w.k(), out_h, out_w, out, p.out_qp)
+    QTensor3::from_raw(w.k(), g.out_h, g.out_w, out, p.out_qp)
 }
 
 #[cfg(test)]
@@ -193,7 +383,14 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn random_qconv(seed: u64, k: usize, c: usize, kr: usize) -> (QConvParams, QuantParams) {
+    /// Random pruned layer: its dense weights (for the reference), the
+    /// compacted params, and the input quantization.
+    fn random_qconv(
+        seed: u64,
+        k: usize,
+        c: usize,
+        kr: usize,
+    ) -> (QTensor4, QConvParams, QuantParams) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut w = Tensor4::zeros(k, c, kr, kr);
         w.init_he(&mut rng);
@@ -211,21 +408,14 @@ mod tests {
             .iter()
             .map(|&sw| in_qp.scale * sw / out_qp.scale)
             .collect();
-        (
-            QConvParams {
-                weight,
-                bias_q,
-                multipliers,
-                out_qp,
-            },
-            in_qp,
-        )
+        let p = QConvParams::new(&weight, bias_q, multipliers, out_qp);
+        (weight, p, in_qp)
     }
 
     #[test]
-    fn rowwise_matches_reference_exactly() {
+    fn kernel_matches_reference_exactly() {
         let mut rng = StdRng::seed_from_u64(0xC017);
-        for case in 0..25u64 {
+        for case in 0..40u64 {
             let (c, h, w) = (
                 rng.gen_range(1..4usize),
                 rng.gen_range(1..9usize),
@@ -233,26 +423,46 @@ mod tests {
             );
             let k = rng.gen_range(1..5usize);
             let kr = rng.gen_range(1..4usize);
+            let stride = rng.gen_range(1..4usize);
             let padding = if rng.gen_bool(0.5) {
                 Padding::Same
             } else {
                 Padding::Valid
             };
-            let (p, in_qp) = random_qconv(case, k, c, kr);
+            let (weight, p, in_qp) = random_qconv(case, k, c, kr);
             let mut x = Tensor3::zeros(c, h, w);
             x.fill_uniform(&mut rng, -1.0, 1.0);
             let qx = QTensor3::quantize(&x, in_qp);
-            let cfg = Conv2dCfg::new(1, padding);
-            let want = qconv2d_reference(&qx, &p, &cfg);
-            let got = qconv2d(&qx, &p, &cfg);
-            assert_eq!(want.shape(), got.shape(), "case {case}");
-            assert_eq!(want.data(), got.data(), "case {case}");
+            let cfg = Conv2dCfg::new(stride, padding);
+            let want = qconv2d_reference(&qx, &weight, &p, &cfg);
+            // One tap per block, a few taps per block, one block.
+            for block_bytes in [0, 64, LOWERED_BLOCK_BYTES] {
+                let got = qconv2d_blocked(&qx, &p, &cfg, block_bytes);
+                assert_eq!(want.shape(), got.shape(), "case {case}");
+                assert_eq!(
+                    want.data(),
+                    got.data(),
+                    "case {case}, {block_bytes} B blocks"
+                );
+            }
         }
     }
 
     #[test]
-    fn stride_two_takes_reference_path() {
-        let (p, in_qp) = random_qconv(3, 3, 2, 3);
+    fn compaction_keeps_only_used_taps_and_nonzero_weights() {
+        let (weight, p, _) = random_qconv(3, 3, 2, 3);
+        assert_eq!(p.nnz(), weight.nnz());
+        let per = weight.c() * weight.r() * weight.s();
+        let used = (0..per)
+            .filter(|&t| (0..weight.k()).any(|k| weight.data()[k * per + t] != 0))
+            .count();
+        assert_eq!(p.used_taps(), used);
+        assert!(p.values.iter().all(|&v| v != 0));
+    }
+
+    #[test]
+    fn stride_two_output_shape() {
+        let (_, p, in_qp) = random_qconv(3, 3, 2, 3);
         let mut x = Tensor3::zeros(2, 6, 6);
         x.fill_uniform(&mut StdRng::seed_from_u64(4), -1.0, 1.0);
         let qx = QTensor3::quantize(&x, in_qp);
@@ -283,12 +493,7 @@ mod tests {
             .iter()
             .map(|&sw| in_qp.scale * sw / out_qp.scale)
             .collect();
-        let p = QConvParams {
-            weight,
-            bias_q: vec![0; 4],
-            multipliers,
-            out_qp,
-        };
+        let p = QConvParams::new(&weight, vec![0; 4], multipliers, out_qp);
         let qx = QTensor3::quantize(&x, in_qp);
         let qout = qconv2d(&qx, &p, &cfg).dequantize();
         let mut worst = 0.0f32;

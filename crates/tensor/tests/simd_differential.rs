@@ -10,7 +10,7 @@
 
 use hd_tensor::conv::{conv2d, Conv2dCfg, ConvBackend, Padding};
 use hd_tensor::gemm::{gemm, GemmBlocking};
-use hd_tensor::qconv::{qconv2d, qconv2d_reference, QConvParams};
+use hd_tensor::qconv::{qconv2d, qconv2d_reference, requantize, QConvParams};
 use hd_tensor::simd;
 use hd_tensor::{QTensor3, QTensor4, QuantParams, Tensor3, Tensor4};
 use proptest::prelude::*;
@@ -53,8 +53,15 @@ fn pruned_weights(seed: u64, k: usize, c: usize, kernel: usize, keep_percent: u3
 }
 
 /// INT8 workload: affine input quantization (exact zero point), symmetric
-/// per-output-channel weights, output range calibrated from the f32 conv.
-fn quantized_workload(x: &Tensor3, w: &Tensor4, cfg: &Conv2dCfg) -> (QTensor3, QConvParams) {
+/// per-output-channel weights, a seed-pinned bias, and the output range
+/// calibrated from the f32 conv. Returns the dense quantized weights too,
+/// for the reference loop.
+fn quantized_workload(
+    x: &Tensor3,
+    w: &Tensor4,
+    cfg: &Conv2dCfg,
+    seed: u64,
+) -> (QTensor3, QTensor4, QConvParams) {
     let (lo, hi) = x
         .data()
         .iter()
@@ -73,13 +80,10 @@ fn quantized_workload(x: &Tensor3, w: &Tensor4, cfg: &Conv2dCfg) -> (QTensor3, Q
         .iter()
         .map(|sw| in_qp.scale * sw / out_qp.scale)
         .collect();
-    let params = QConvParams {
-        weight: qw,
-        bias_q: vec![0; w.k()],
-        multipliers,
-        out_qp,
-    };
-    (qx, params)
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xB1A5);
+    let bias_q = (0..w.k()).map(|_| rng.gen_range(-300..300)).collect();
+    let params = QConvParams::new(&qw, bias_q, multipliers, out_qp);
+    (qx, qw, params)
 }
 
 proptest! {
@@ -194,28 +198,71 @@ proptest! {
             prop_assert!(a.to_bits() == b.to_bits(), "{a} vs {b} diverge on stripe");
         }
     }
+}
 
-    /// The INT8 fast path (`qconv2d`) agrees with the reference loop
-    /// exactly — integer accumulation leaves no tolerance to hide behind —
-    /// and both dispatch modes produce the same bytes.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The INT8 kernel (`qconv2d`) agrees with the reference loop exactly
+    /// — integer accumulation leaves no tolerance to hide behind — and
+    /// both dispatch modes produce the same bytes. The inputs cover every
+    /// stride the lowering resolves (1–3), both paddings, the 1/3/5/7
+    /// kernels of the victims, non-square maps, the prober's stripe
+    /// probes (zero point everywhere but one column), a fully pruned
+    /// filter (its output is the requantized bias) and a tap pruned in
+    /// every filter (it gets no lowered row).
     #[test]
     fn qconv_matches_reference_exactly(
         seed in 0u64..10_000,
         in_c in 1usize..4,
         out_c in 1usize..5,
-        hw in 4usize..9,
-        kernel in prop_oneof![Just(1usize), Just(3usize)],
-        stride in 1usize..3,
+        h in 1usize..12,
+        w in 1usize..12,
+        kernel in prop_oneof![Just(1usize), Just(3usize), Just(5usize), Just(7usize)],
+        stride in 1usize..4,
+        valid in any::<bool>(),
+        stripe in any::<bool>(),
+        prune_filter in any::<bool>(),
+        prune_tap in any::<bool>(),
         keep_percent in 10u32..90,
     ) {
-        let x = random_tensor3(seed, in_c, hw, hw);
-        let w = pruned_weights(seed ^ 0x1A7E, out_c, in_c, kernel, keep_percent);
-        let cfg = Conv2dCfg::new(stride, Padding::Same);
-        let (qx, params) = quantized_workload(&x, &w, &cfg);
-        let reference = qconv2d_reference(&qx, &params, &cfg);
+        let mut x = random_tensor3(seed, in_c, h, w);
+        if stripe {
+            let col = seed as usize % w;
+            for (i, v) in x.data_mut().iter_mut().enumerate() {
+                if i % w != col {
+                    *v = 0.0;
+                }
+            }
+        }
+        let mut wt = pruned_weights(seed ^ 0x1A7E, out_c, in_c, kernel, keep_percent);
+        let per = in_c * kernel * kernel;
+        let pruned_tap = seed as usize % per;
+        for (i, v) in wt.data_mut().iter_mut().enumerate() {
+            if (prune_filter && i < per) || (prune_tap && i % per == pruned_tap) {
+                *v = 0.0;
+            }
+        }
+        let padding = if valid { Padding::Valid } else { Padding::Same };
+        let cfg = Conv2dCfg::new(stride, padding);
+        let (qx, qw, params) = quantized_workload(&x, &wt, &cfg, seed);
+        let reference = qconv2d_reference(&qx, &qw, &params, &cfg);
         let (vector, scalar) = both_paths(|| qconv2d(&qx, &params, &cfg));
         prop_assert_eq!(vector.data(), scalar.data(), "INT8 SIMD modes diverge");
         prop_assert_eq!(vector.shape(), reference.shape());
         prop_assert_eq!(vector.data(), reference.data(), "qconv2d diverges from reference");
+        prop_assert_eq!(params.nnz(), qw.nnz());
+        if prune_tap {
+            prop_assert!(params.used_taps() < per, "a tap pruned in every filter kept a row");
+        }
+        if prune_filter {
+            let npos = vector.h() * vector.w();
+            let zp_out = params.out_qp.zero_point;
+            let bias = requantize(params.bias_q[0], params.multipliers[0], zp_out);
+            prop_assert!(
+                vector.data()[..npos].iter().all(|&q| q == bias),
+                "a fully pruned filter must output its requantized bias"
+            );
+        }
     }
 }
