@@ -11,16 +11,22 @@
 //! HD_BENCH_GUARD=1 cargo bench -p hd-bench --bench fig_prober_parallel   # guard
 //! ```
 //!
+//! A row's `workers` is the number of threads that can actually run its
+//! probe at once: the requested parallelism, clamped to the job count and
+//! to the pool's participants (its background workers plus the caller).
+//!
 //! `HD_BENCH_GUARD=1` validates the checked-in artifact instead of timing:
-//! the schema must be `v2`, and the honesty invariants must hold — a row
-//! whose effective worker count is 1 carries `"speedup_vs_serial": null`,
-//! and `measured_parallel_speedup` is `true` only when the recording host
-//! had more than one core. A 1-core recording therefore *cannot* report a
+//! the schema must be `v2`, and the honesty invariants must hold — no row
+//! claims more workers than the recording host had cores, a row whose
+//! worker count is 1 carries `"speedup_vs_serial": null`, and
+//! `measured_parallel_speedup` is `true` only when the recording host had
+//! more than one core. A 1-core recording therefore *cannot* report a
 //! measured parallel speedup; it self-describes as unmeasured instead of
 //! presenting serial noise as a result.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hd_bench::victims::{paper_victim, Model};
+use hd_pool::WorkerPool;
 use hd_trace::StreamingAnalyzer;
 use huffduff_core::prober::{probe, ProberConfig};
 use std::sync::Mutex;
@@ -107,7 +113,10 @@ fn schema_guard() {
             .get("workers")
             .and_then(|w| w.as_f64())
             .expect("row workers") as usize;
-        assert!(workers <= host_cores.max(1) * 64, "absurd worker count");
+        assert!(
+            workers <= host_cores,
+            "row {id:?} claims {workers} workers on a {host_cores}-core host"
+        );
         let speedup = row.get("speedup_vs_serial").expect("speedup field present");
         let has_speedup = speedup.as_f64().is_some();
         if id == "serial" || workers <= 1 || !measured {
@@ -197,7 +206,10 @@ fn bench(c: &mut Criterion) {
     let mut rows = Vec::new();
     for (id, requested) in rows_cfg {
         let cfg = base.clone().with_parallelism(requested);
-        let workers = cfg.effective_parallelism(cfg.shifts);
+        // The pool runs at most its background workers plus the caller.
+        let workers = cfg
+            .effective_parallelism(cfg.shifts)
+            .min(WorkerPool::global().threads() + 1);
         let (result, samples) = timed_bench(c, &format!("vgg_probe_{id}"), &device, &cfg);
         let m = mean(&samples);
         match &serial_result {

@@ -29,7 +29,7 @@ pub enum ConvBackend {
     /// im2col lowering + cache-blocked GEMM ([`crate::im2col`]).
     #[default]
     Im2colGemm,
-    /// Input-stationary sparse × sparse scatter over CSC-compacted weights
+    /// Sparse × sparse register-tile kernel over CSC-compacted weights
     /// ([`crate::csc_conv`]); devices additionally cache the weight
     /// compaction and track nonzero-column intervals across layers.
     SparseCsc,
@@ -66,7 +66,7 @@ impl std::fmt::Display for ConvBackend {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct BackendPolicy {
     /// Input nnz-density (permille) below which every backend takes the
-    /// input-stationary CSC scatter path (probe images, deep post-ReLU maps).
+    /// CSC tile kernel (probe images, deep post-ReLU maps).
     pub input_density_threshold: u16,
     /// Weight nnz-density (permille) below which the dense backends switch
     /// to the compacted-tap kernel (heavily pruned victim layers).
@@ -89,7 +89,7 @@ impl Default for BackendPolicy {
 
 impl BackendPolicy {
     /// Whether an input map with `nnz` nonzeros out of `len` is sparse
-    /// enough for the CSC scatter path.
+    /// enough for the CSC tile kernel.
     pub fn input_is_sparse(&self, nnz: usize, len: usize) -> bool {
         (nnz as u64) * 1000 < (len as u64) * self.input_density_threshold as u64
     }
@@ -206,7 +206,7 @@ pub fn conv2d(input: &Tensor3, weight: &Tensor4, bias: Option<&[f32]>, cfg: &Con
     }
 
     // Probe images and post-ReLU activations of pruned networks are mostly
-    // zero; scattering from the non-zero inputs is then far cheaper than
+    // zero; multiplying only nonzero pairs is then far cheaper than
     // either dense backend. Shared by all backends so the choice below
     // cannot regress sparse probe inferences. The SparseCsc backend takes
     // this kernel unconditionally — that is what it is.
@@ -734,7 +734,7 @@ mod tests {
             (1, Padding::Valid),
             (2, Padding::Valid),
         ] {
-            // Sparse input triggers the CSC scatter path inside conv2d...
+            // Sparse input triggers the CSC tile kernel inside conv2d...
             let mut sparse = Tensor3::zeros(3, 9, 9);
             sparse.set(0, 4, 0, 1.5);
             sparse.set(1, 0, 8, -2.0);

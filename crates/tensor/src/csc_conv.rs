@@ -5,18 +5,30 @@
 //! corresponding compute model and the performance backbone of the prober hot
 //! loop. Weights are compacted once into [`CscWeights`] — for every filter
 //! tap position `(c, r, s)` the list of `(k, value)` entries that survive
-//! pruning — and the kernel walks the nonzero input pixels, scattering each
-//! into the output positions its taps reach.
+//! pruning.
+//!
+//! [`conv2d_csc`] recomputes only the output columns a probe can have
+//! changed, with one register-tile kernel. The recomputed outputs are laid
+//! out as lanes, `(p, q)` flattened, in a tile holding one lane row per
+//! output channel `k`. For each tap `(c, r, s)` the kernel gathers the input
+//! value every lane reads (0 for padding) and runs the tap's whole filter
+//! list in one masked SIMD call ([`crate::simd::axpy_nonzero_rows`]):
+//! `tile[k] = blend(tile[k] + w * x, tile[k], x != 0)`. Pruned weights never
+//! enter the lists, and zero activations are skipped lane by lane.
 //!
 //! # Bit-identity contract
 //!
-//! [`conv2d_csc`] reproduces [`crate::conv::conv2d`]'s `Direct` backend
-//! bit-for-bit: for every output element the surviving contributions are
-//! accumulated in ascending `(c, r, s)` tap order starting from the bias.
-//! Walking input pixels in ascending `(c, y, x)` guarantees that order,
-//! because for a fixed output position ascending `y` is ascending `r` and
-//! ascending `x` is ascending `s`. The scatter therefore performs the exact
-//! same f32 additions in the exact same order as the reference loop nest.
+//! [`conv2d_csc`] reproduces [`crate::conv::conv2d_reference`] bit for bit:
+//! for every output element the surviving contributions are accumulated in
+//! ascending `(c, r, s)` tap order starting from the bias. The tile starts
+//! every lane at `bias[k]` and visits the taps in exactly that order, and
+//! each lane is one output element, so it performs the same f32 additions
+//! in the same order as the reference loop nest, with separate multiply and
+//! add (never FMA). A lane whose activation is zero is masked, not added
+//! to: it keeps its bits. That matters for a `-0.0` bias, which an
+//! unconditional `-0.0 + w * 0.0 = +0.0` would flip, and for a `w * 0.0`
+//! that is NaN because `w` is infinite. NaN activations compare `!= 0` and
+//! are added, as in the reference.
 
 use crate::colspan::ColSpan;
 use crate::conv::{conv_out_dim, same_pad, Conv2dCfg, Padding};
@@ -208,128 +220,74 @@ pub fn conv2d_csc(
         return out;
     }
 
-    // Reset the recomputed columns to the bias so accumulation starts from
-    // the same value as the direct loop's `acc = bias[k]`.
-    let plane = out_h * out_w;
-    {
-        let data = out.data_mut();
-        for k in 0..weights.k() {
-            let b = bias.map_or(0.0, |b| b[k]);
-            for p in 0..out_h {
-                let row = k * plane + p * out_w;
-                data[row + out_span.lo()..row + out_span.hi()].fill(b);
+    // The tile holds one lane row per output channel `k`; lane
+    // `p * span + j` is output `(p, out_span.lo() + j)`, and lanes past
+    // `out_h * span` only pad the row to whole 8-lane chunks. It is never
+    // larger than the output it fills. Every lane starts at the bias, as
+    // the direct loop's `acc = bias[k]` does.
+    let kn = weights.k();
+    let span = out_span.width();
+    let lanes = (out_h * span).div_ceil(8) * 8;
+    let mut tile = vec![0.0f32; kn * lanes];
+    if let Some(b) = bias {
+        for (row, &bk) in tile.chunks_exact_mut(lanes).zip(b) {
+            row.fill(bk);
+        }
+    }
+
+    // Tap column `s` reads padded column `(out_span.lo() + j) * stride + s`
+    // for lane column `j`; `cols[s]` is the `j` range landing inside the
+    // input row (the rest reads zero padding).
+    let (in_h, in_w, stride) = (input.h(), input.w(), cfg.stride);
+    let cols: Vec<(usize, usize)> = (0..ks)
+        .map(|s| {
+            let x0 = out_span.lo() * stride + s;
+            let j_lo = pad_x.saturating_sub(x0).div_ceil(stride);
+            let j_hi = (in_w + pad_x).saturating_sub(x0).div_ceil(stride);
+            (j_lo.min(span), j_hi.min(span))
+        })
+        .collect();
+
+    // Taps arrive in ascending `(c, r, s)`, the order of the direct loop;
+    // each runs its whole filter list in one masked call.
+    let mut x = vec![0.0f32; lanes];
+    for c in 0..weights.c() {
+        let plane_c = &input.data()[c * in_h * in_w..(c + 1) * in_h * in_w];
+        for r in 0..kr {
+            for (s, &(j_lo, j_hi)) in cols.iter().enumerate() {
+                let (ks_list, wv_list) = weights.taps((c * kr + r) * ks + s);
+                if ks_list.is_empty() {
+                    continue;
+                }
+                // Gather the value every lane reads through this tap.
+                for (p, xp) in x.chunks_exact_mut(span).take(out_h).enumerate() {
+                    xp.fill(0.0);
+                    let y = (p * stride + r).checked_sub(pad_y);
+                    let Some(y) = y.filter(|&y| y < in_h && j_lo < j_hi) else {
+                        continue;
+                    };
+                    let first = y * in_w + (out_span.lo() + j_lo) * stride + s - pad_x;
+                    let (dst, src) = (&mut xp[j_lo..j_hi], &plane_c[first..]);
+                    if stride == 1 {
+                        dst.copy_from_slice(&src[..dst.len()]);
+                    } else {
+                        for (v, &xv) in dst.iter_mut().zip(src.iter().step_by(stride)) {
+                            *v = xv;
+                        }
+                    }
+                }
+                crate::simd::axpy_nonzero_rows(&mut tile, &x, ks_list, wv_list);
             }
         }
     }
 
-    // Per-row tap maps: which (r -> p) pairs exist for each input row y, and
-    // which (s -> q) pairs land inside `out_span` for each input column x.
-    // Both are built in ascending r / s order (the bit-identity contract).
-    let rp: Vec<Vec<(usize, usize)>> = (0..input.h())
-        .map(|y| {
-            (0..kr)
-                .filter_map(|r| {
-                    let py = y as isize + pad_y as isize - r as isize;
-                    if py < 0 || py % cfg.stride as isize != 0 {
-                        return None;
-                    }
-                    let p = (py / cfg.stride as isize) as usize;
-                    (p < out_h).then_some((r, p))
-                })
-                .collect()
-        })
-        .collect();
-    // Input columns whose window can reach `out_span`.
-    let x_lo = (out_span.lo() * cfg.stride).saturating_sub(pad_x);
-    let x_hi = ((out_span.hi() - 1) * cfg.stride + ks - 1)
-        .saturating_sub(pad_x)
-        .min(input.w().saturating_sub(1));
-    let sq: Vec<Vec<(usize, usize)>> = (x_lo..=x_hi)
-        .map(|x| {
-            (0..ks)
-                .filter_map(|s| {
-                    let qx = x as isize + pad_x as isize - s as isize;
-                    if qx < 0 || qx % cfg.stride as isize != 0 {
-                        return None;
-                    }
-                    let q = (qx / cfg.stride as isize) as usize;
-                    out_span.contains(q).then_some((s, q))
-                })
-                .collect()
-        })
-        .collect();
-
-    let in_w = input.w();
-    let in_plane = input.h() * in_w;
-    let in_data = input.data();
+    // Copy the span back; the other columns keep the baseline (or bias).
+    let plane = out_h * out_w;
     let out_data = out.data_mut();
-    let span_len = x_hi + 1 - x_lo;
-    for c in 0..weights.c() {
-        let tap_base_c = c * kr * ks;
-        for (y, rps) in rp.iter().enumerate() {
-            if rps.is_empty() {
-                continue;
-            }
-            let row = &in_data[c * in_plane + y * in_w..c * in_plane + y * in_w + in_w];
-            // Dense rows at stride 1 take a vectorized path: one masked
-            // axpy per (tap, surviving weight) over the contiguous
-            // output-x run. Per output element the contribution order is
-            // (c asc, y asc == r asc, s asc) — exactly the scatter's
-            // order — so both paths are bit-identical and the cutover
-            // density is purely a speed heuristic. Sparse rows (the
-            // probe-image regime) keep the pixel scatter, which skips
-            // all taps of a zero pixel at the cost of one compare.
-            if cfg.stride == 1 && span_len >= 8 {
-                let nnz_in_span = crate::nnz(&row[x_lo..=x_hi]);
-                if nnz_in_span * 4 >= span_len {
-                    for &(r, p) in rps {
-                        let out_row = p * out_w;
-                        let tap_base = tap_base_c + r * ks;
-                        for s in 0..ks {
-                            // Output-x range reaching tap s from columns
-                            // in [x_lo, x_hi] (q = x + pad_x - s) inside
-                            // the recomputed span.
-                            let q_lo = out_span.lo().max((x_lo + pad_x).saturating_sub(s));
-                            let q_hi = out_span.hi().min((x_hi + pad_x + 1).saturating_sub(s));
-                            if q_lo >= q_hi {
-                                continue;
-                            }
-                            let x_first = q_lo + s - pad_x;
-                            let (ks_list, wv_list) = weights.taps(tap_base + s);
-                            for (&k, &wv) in ks_list.iter().zip(wv_list) {
-                                let dst = k as usize * plane + out_row;
-                                crate::simd::axpy_nonzero(
-                                    &mut out_data[dst + q_lo..dst + q_hi],
-                                    &row[x_first..x_first + (q_hi - q_lo)],
-                                    wv,
-                                );
-                            }
-                        }
-                    }
-                    continue;
-                }
-            }
-            for x in x_lo..=x_hi {
-                let xv = row[x];
-                if xv == 0.0 {
-                    continue; // activation zero-skipping
-                }
-                let sqs = &sq[x - x_lo];
-                if sqs.is_empty() {
-                    continue;
-                }
-                for &(r, p) in rps {
-                    let out_row = p * out_w;
-                    let tap_base = tap_base_c + r * ks;
-                    for &(s, q) in sqs {
-                        let (ks_list, wv_list) = weights.taps(tap_base + s);
-                        let dst = out_row + q;
-                        for (&k, &wv) in ks_list.iter().zip(wv_list) {
-                            out_data[k as usize * plane + dst] += wv * xv;
-                        }
-                    }
-                }
-            }
+    for (k, trow) in tile.chunks_exact(lanes).enumerate() {
+        for (p, tp) in trow.chunks_exact(span).take(out_h).enumerate() {
+            let at = k * plane + p * out_w + out_span.lo();
+            out_data[at..at + span].copy_from_slice(tp);
         }
     }
     out
@@ -351,6 +309,7 @@ pub fn conv2d_sparse_csc(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -424,35 +383,78 @@ mod tests {
         }
     }
 
-    #[test]
-    fn incremental_recompute_matches_full_run() {
-        // A baseline computed on one input, patched with a single dirty
-        // column, must equal the from-scratch result bit-for-bit.
-        let mut rng = StdRng::seed_from_u64(0x1D1);
-        let weight = pruned_weights(6, 2, 3, 3, 0.5, 0x51);
-        let csc = CscWeights::build(&weight);
-        let cfg = Conv2dCfg::new(1, Padding::Same);
-        let mut base_in = Tensor3::zeros(2, 8, 8);
-        for v in base_in.data_mut().iter_mut() {
-            *v = rng.gen_range(-1.0..1.0);
-        }
-        let base_out = conv2d_csc(&base_in, &csc, None, &cfg, ColSpan::full(8), None);
-        let mut patched = base_in.clone();
-        for ch in 0..2 {
-            for y in 0..8 {
-                patched.set(ch, y, 5, rng.gen_range(-1.0..1.0));
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The incremental contract on random sub-spans: a baseline from
+        /// one input, patched inside `[lo, hi)`, must equal the reference
+        /// loop on the patched input bit for bit, under both dispatch
+        /// modes. Maps up to 40 wide give tiles of 1–5 vectors per row;
+        /// the bias holds a `-0.0` (a lane with no nonzero input must keep
+        /// it) and the patch may carry one NaN. The `baseline == None`
+        /// contract is checked on the patch alone.
+        #[test]
+        fn incremental_recompute_matches_full_run(
+            seed in 0u64..10_000,
+            c in 1usize..4,
+            k in 1usize..6,
+            h in 1usize..10,
+            w in 1usize..41,
+            kernel in prop_oneof![Just(1usize), Just(3usize), Just(5usize), Just(7usize)],
+            stride in 1usize..4,
+            valid in any::<bool>(),
+            lo in 0usize..40,
+            width in 1usize..41,
+            density_pct in prop_oneof![Just(10u32), Just(50u32), Just(100u32)],
+            nan in any::<bool>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut fill = |t: &mut Tensor3, cols: std::ops::Range<usize>| {
+                for (i, v) in t.data_mut().iter_mut().enumerate() {
+                    if cols.contains(&(i % w)) {
+                        let keep = rng.gen_range(0u32..100) < density_pct;
+                        *v = if keep { rng.gen_range(-2.0..2.0) } else { 0.0 };
+                    }
+                }
+            };
+            let mut base_in = Tensor3::zeros(c, h, w);
+            fill(&mut base_in, 0..w);
+            let (lo, hi) = (lo % w, (lo % w + width).min(w));
+            let mut patched = base_in.clone();
+            fill(&mut patched, lo..hi);
+            if nan {
+                patched.set(c - 1, h / 2, lo, f32::NAN);
             }
+            let weight = pruned_weights(k, c, kernel, kernel, 0.5, seed ^ 0x1D1);
+            let mut bias: Vec<f32> = (0..k).map(|i| i as f32 * 0.25 - 0.5).collect();
+            bias[0] = -0.0;
+            let padding = if valid { Padding::Valid } else { Padding::Same };
+            let cfg = Conv2dCfg::new(stride, padding);
+            let reference = |x: &Tensor3| {
+                crate::conv::conv2d_reference(x, &weight, Some(&bias), &cfg)
+            };
+            let base_out = reference(&base_in);
+            let mut patch_only = Tensor3::zeros(c, h, w);
+            for (i, (dst, &src)) in patch_only.data_mut().iter_mut().zip(patched.data()).enumerate() {
+                if (lo..hi).contains(&(i % w)) {
+                    *dst = src;
+                }
+            }
+            let bits = |t: &Tensor3| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let (want, want_patch) = (bits(&reference(&patched)), bits(&reference(&patch_only)));
+            let csc = CscWeights::build(&weight);
+            let span = ColSpan::new(lo, hi);
+            let _guard = crate::simd::TEST_MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+            let detected = crate::simd::enabled();
+            for vector in [true, false] {
+                crate::simd::set_enabled(vector);
+                let got = conv2d_csc(&patched, &csc, Some(&bias), &cfg, span, Some(&base_out));
+                prop_assert_eq!(&bits(&got), &want, "baseline contract, vector = {}", vector);
+                let got = conv2d_csc(&patch_only, &csc, Some(&bias), &cfg, span, None);
+                prop_assert_eq!(&bits(&got), &want_patch, "zero contract, vector = {}", vector);
+            }
+            crate::simd::set_enabled(detected);
         }
-        let incremental = conv2d_csc(
-            &patched,
-            &csc,
-            None,
-            &cfg,
-            ColSpan::new(5, 6),
-            Some(&base_out),
-        );
-        let full = conv2d_csc(&patched, &csc, None, &cfg, ColSpan::full(8), None);
-        assert_eq!(incremental.data(), full.data());
     }
 
     #[test]

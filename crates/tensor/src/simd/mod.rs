@@ -1,8 +1,8 @@
 //! Runtime-dispatched SIMD kernels for the convolution hot loops.
 //!
-//! The three f32 conv backends (blocked GEMM, CSC scatter, direct loop
-//! nest) and the INT8 quantized path all bottom out in a handful of small
-//! kernels defined here. Each kernel has two implementations with
+//! The three f32 conv backends (blocked GEMM, CSC register tile, direct
+//! loop nest) and the INT8 quantized path all bottom out in a handful of
+//! small kernels defined here. Each kernel has two implementations with
 //! *identical per-lane semantics*:
 //!
 //! * a portable scalar fallback ([`scalar`]) written over the explicit
@@ -13,14 +13,15 @@
 //! # Bit-identity contract
 //!
 //! The vector kernels vectorize **across output elements only** (the NR
-//! register columns of a GEMM tile, or a contiguous run of output-x
-//! positions) and use separate multiply + add — never FMA. Each output
-//! element therefore receives exactly the same f32 additions in exactly
-//! the same order on both paths, and the golden traces recorded before
-//! this module existed still pass byte-identically. Zero-skipping is
-//! reproduced lanewise with a compare + blend: a lane whose activation is
-//! zero keeps its accumulator bits (an unconditional `acc + w*0.0` could
-//! flip a `-0.0` accumulator to `+0.0`).
+//! register columns of a GEMM tile, a contiguous run of output-x
+//! positions, or the flattened output lanes of a CSC tile) and use
+//! separate multiply + add — never FMA. Each output element therefore
+//! receives exactly the same f32 additions in exactly the same order on
+//! both paths, and the golden traces recorded before this module existed
+//! still pass byte-identically. Zero-skipping is reproduced lanewise
+//! with a compare + blend: a lane whose activation is zero keeps its
+//! accumulator bits (an unconditional `acc + w*0.0` could flip a `-0.0`
+//! accumulator to `+0.0`).
 //!
 //! # Dispatch
 //!
@@ -58,6 +59,11 @@ const MODE_VECTOR: u8 = 2;
 
 /// Cached dispatch decision (one relaxed load on the hot path).
 static MODE: AtomicU8 = AtomicU8::new(MODE_UNINIT);
+
+/// Serializes the unit tests that flip [`MODE`], so a test that checks
+/// each dispatch path really runs both.
+#[cfg(test)]
+pub(crate) static TEST_MODE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Whether the host ISA has the vector extensions the kernels target
 /// (AVX2 on x86_64, NEON on aarch64). Independent of [`enabled`]: bench
@@ -209,6 +215,32 @@ pub fn axpy_nonzero(acc: &mut [f32], x: &[f32], w: f32) {
     scalar::axpy_nonzero(acc, x, w);
 }
 
+/// One tap's whole filter list against a register tile: for every
+/// `(k, w)` in `rows.zip(weights)`, `tile[k * L + i] += w * x[i]` for each
+/// lane where `x[i] != 0.0` (accumulator bits preserved elsewhere), with
+/// `L = x.len()` a multiple of 8. Dispatch is decided once per call, not
+/// once per weight; this is the inner step of [`crate::csc_conv`].
+///
+/// # Panics
+///
+/// Panics if `x.len()` is not a multiple of 8, if `rows` and `weights`
+/// differ in length, or if a row index reaches past the tile.
+#[inline]
+pub fn axpy_nonzero_rows(tile: &mut [f32], x: &[f32], rows: &[u32], weights: &[f32]) {
+    assert_eq!(x.len() % 8, 0, "tile lanes must be a multiple of 8");
+    assert_eq!(rows.len(), weights.len(), "tap list length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if mode() == MODE_VECTOR {
+        // SAFETY: AVX2 verified before MODE_VECTOR was stored; the kernel
+        // bounds-checks every tile row itself.
+        unsafe { x86::axpy_nonzero_rows_avx2(tile, x, rows, weights) };
+        return;
+    }
+    // aarch64 has no NEON body for this kernel yet: it runs the portable
+    // `f32x8` body on both dispatch modes.
+    scalar::axpy_nonzero_rows(tile, x, rows, weights);
+}
+
 /// Unmasked i32 accumulate over a contiguous run: `acc[i] += w * x[i]`.
 /// Integer arithmetic is exact, so the quantized kernels need no
 /// zero-mask to stay bit-identical across paths. `acc` and `x` must have
@@ -257,6 +289,7 @@ mod tests {
     /// Runs `f` once with the vector kernels and once with the scalar
     /// fallback, restoring the detected mode afterwards.
     fn both_paths(mut f: impl FnMut(bool)) {
+        let _guard = TEST_MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         for vector in [false, true] {
             set_enabled(vector);
             f(vector && simd_available());
@@ -324,6 +357,49 @@ mod tests {
     }
 
     #[test]
+    fn axpy_rows_paths_bit_identical_and_match_per_row_axpy() {
+        let mut rng = StdRng::seed_from_u64(13);
+        for lanes in [0usize, 8, 16, 40, 72] {
+            let n_rows = 6;
+            let mut x = random(lanes, 200 + lanes as u64);
+            if lanes >= 16 {
+                x[8..16].fill(0.0); // an all-zero chunk inside a group
+                x[3] = f32::NAN;
+            }
+            if lanes >= 64 {
+                x[32..64].fill(0.0); // an all-zero group is skipped
+            }
+            let mut tile0 = random(n_rows * lanes, 300 + lanes as u64);
+            if lanes > 0 {
+                tile0[0] = -0.0;
+            }
+            let rows = [0u32, 2, 3, 5];
+            let weights: Vec<f32> = rows.iter().map(|_| rng.gen_range(-2.0..2.0)).collect();
+            let mut outs: Vec<Vec<f32>> = Vec::new();
+            both_paths(|_| {
+                let mut tile = tile0.clone();
+                axpy_nonzero_rows(&mut tile, &x, &rows, &weights);
+                outs.push(tile);
+            });
+            let bits = |v: &Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&outs[0]), bits(&outs[1]), "lanes={lanes}");
+            let mut want = tile0.clone();
+            for (&k, &w) in rows.iter().zip(&weights) {
+                let row = &mut want[k as usize * lanes..(k as usize + 1) * lanes];
+                scalar::axpy_nonzero(row, &x, w);
+            }
+            assert_eq!(bits(&outs[1]), bits(&want), "lanes={lanes}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn axpy_rows_rejects_rows_past_the_tile() {
+        let mut tile = vec![0.0f32; 16];
+        axpy_nonzero_rows(&mut tile, &[1.0; 8], &[2], &[1.0]);
+    }
+
+    #[test]
     fn qaxpy_paths_identical() {
         let mut rng = StdRng::seed_from_u64(11);
         for n in [0usize, 1, 8, 13, 40] {
@@ -346,6 +422,7 @@ mod tests {
     fn hd_simd_env_forces_scalar() {
         // `detect()` is pure given the env; exercise it directly rather
         // than mutating the process environment (other tests race on it).
+        let _guard = TEST_MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         assert_eq!(
             detect() == MODE_VECTOR,
             simd_available() && !std::env::var("HD_SIMD").is_ok_and(|v| v == "0")

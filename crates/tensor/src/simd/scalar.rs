@@ -192,6 +192,28 @@ pub fn axpy_nonzero(acc: &mut [f32], x: &[f32], w: f32) {
     }
 }
 
+/// Scalar tap-list accumulate: for every `(k, w)` pair, each 8-lane chunk
+/// of tile row `k` becomes `blend(row + w * x, row, x != 0)`. Chunk-outer
+/// like the vector kernels, skipping all-zero chunks; `x.len()` is a
+/// multiple of 8, so there is no remainder.
+pub fn axpy_nonzero_rows(tile: &mut [f32], x: &[f32], rows: &[u32], weights: &[f32]) {
+    let lanes = x.len();
+    for (j, x8) in x.chunks_exact(8).enumerate() {
+        if x8.iter().all(|&v| v == 0.0) {
+            continue;
+        }
+        let xv = f32x8::load(x8);
+        for (&k, &w) in rows.iter().zip(weights) {
+            let at = k as usize * lanes + j * 8;
+            let dst = &mut tile[at..at + 8];
+            let tv = f32x8::load(dst);
+            tv.add(f32x8::splat(w).mul(xv))
+                .blend_nonzero(tv, xv)
+                .store(dst);
+        }
+    }
+}
+
 /// Scalar unmasked i32 accumulate: `acc[i] += w * x[i]`.
 pub fn qaxpy(acc: &mut [i32], x: &[i32], w: i32) {
     let wv = i32x8::splat(w);

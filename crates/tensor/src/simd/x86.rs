@@ -3,9 +3,10 @@
 //! Every function is an `unsafe fn` gated on `target_feature(avx2)`;
 //! the dispatcher in `super` verifies AVX2 with
 //! `is_x86_feature_detected!` and asserts the slice bounds before
-//! calling in. Per-lane semantics match [`super::scalar`] exactly:
-//! separate `mul` + `add` (no FMA), and zero-skipping as a compare +
-//! blend so untouched accumulator lanes keep their bits.
+//! calling in (the tile kernel bounds-checks each tile row itself).
+//! Per-lane semantics match [`super::scalar`] exactly: separate `mul` +
+//! `add` (no FMA), and zero-skipping as a compare + blend so untouched
+//! accumulator lanes keep their bits.
 
 use super::{MR, NR};
 use core::arch::x86_64::*;
@@ -83,6 +84,85 @@ pub unsafe fn axpy_nonzero_avx2(acc: &mut [f32], x: &[f32], w: f32) {
                 *acc.get_unchecked_mut(i) += w * xi;
             }
             i += 1;
+        }
+    }
+}
+
+/// Tap-list accumulate into a register tile: for every `(k, w)` pair,
+/// `tile[k * L + i] += w * x[i]` where `x[i] != 0.0`, with `L = x.len()`.
+/// The lanes are walked in groups of up to four 8-lane chunks: a group's
+/// `x` vectors and masks are loaded once and stay in registers while the
+/// whole list streams past, and an all-zero group is skipped outright
+/// (every lane would keep its bits anyway).
+///
+/// Tile rows are bounds-checked (a panic, never an out-of-range access),
+/// so a bad row index cannot corrupt memory. The dispatcher asserts that
+/// `x.len()` is a multiple of 8.
+///
+/// # Safety
+///
+/// Requires AVX2.
+#[target_feature(enable = "avx2")]
+pub unsafe fn axpy_nonzero_rows_avx2(tile: &mut [f32], x: &[f32], rows: &[u32], weights: &[f32]) {
+    // SAFETY: AVX2 is the caller's guarantee, and `j + 8 * chunks <=
+    // lanes` keeps each group inside `x`.
+    unsafe {
+        let lanes = x.len();
+        let mut j = 0;
+        while j + 8 <= lanes {
+            let chunks = ((lanes - j) / 8).min(4);
+            match chunks {
+                1 => rows_group::<1>(tile, x, j, rows, weights),
+                2 => rows_group::<2>(tile, x, j, rows, weights),
+                3 => rows_group::<3>(tile, x, j, rows, weights),
+                _ => rows_group::<4>(tile, x, j, rows, weights),
+            }
+            j += 8 * chunks;
+        }
+    }
+}
+
+/// One group of `N` chunks starting at lane `j` of [`axpy_nonzero_rows_avx2`].
+///
+/// # Safety
+///
+/// Requires AVX2 and `j + 8 * N <= x.len()`.
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn rows_group<const N: usize>(
+    tile: &mut [f32],
+    x: &[f32],
+    j: usize,
+    rows: &[u32],
+    weights: &[f32],
+) {
+    // SAFETY: `j + 8 * N <= x.len()` bounds every load of `x`, and every
+    // tile access goes through the checked slice `dst` of `8 * N` floats.
+    unsafe {
+        let lanes = x.len();
+        let zero = _mm256_setzero_ps();
+        let mut xv = [zero; N];
+        let mut mask = [zero; N];
+        let mut any = 0;
+        for i in 0..N {
+            xv[i] = _mm256_loadu_ps(x.as_ptr().add(j + 8 * i));
+            // NEQ_UQ is true for NaN lanes, matching scalar `x != 0.0`.
+            mask[i] = _mm256_cmp_ps::<_CMP_NEQ_UQ>(xv[i], zero);
+            any |= _mm256_movemask_ps(mask[i]);
+        }
+        if any == 0 {
+            return;
+        }
+        for (&k, &w) in rows.iter().zip(weights) {
+            let at = k as usize * lanes + j;
+            let dst = &mut tile[at..at + 8 * N];
+            let wv = _mm256_set1_ps(w);
+            for i in 0..N {
+                let p = dst.as_mut_ptr().add(8 * i);
+                let tv = _mm256_loadu_ps(p);
+                let sum = _mm256_add_ps(tv, _mm256_mul_ps(wv, xv[i]));
+                _mm256_storeu_ps(p, _mm256_blendv_ps(tv, sum, mask[i]));
+            }
         }
     }
 }

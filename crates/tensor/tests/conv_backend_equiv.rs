@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Dense strictly-positive tensor: keeps `conv2d` off the shared
-/// sparse-input scatter path so both dense backends actually run.
+/// sparse-input CSC kernel so both dense backends actually run.
 fn dense_tensor(seed: u64, c: usize, h: usize, w: usize) -> Tensor3 {
     let mut t = Tensor3::zeros(c, h, w);
     let mut rng = StdRng::seed_from_u64(seed);
