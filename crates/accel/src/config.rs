@@ -2,7 +2,7 @@
 
 use crate::defence::Defence;
 use hd_tensor::cast;
-use hd_tensor::{BackendPolicy, CompressionScheme, ConvBackend};
+use hd_tensor::{CompressionScheme, ConvBackend};
 use std::fmt;
 
 /// DRAM generation.
@@ -155,16 +155,13 @@ pub struct AccelConfig {
     /// relaxation hands the attacker exact tensor volumes — see
     /// `huffduff_core::reversecnn::exact_channels_from_dense_psums`.
     pub separate_batch_norm: bool,
-    /// Host-side convolution backend used to simulate the victim's
-    /// functional execution. Backends are bit-identical, so traces and
-    /// timings are backend-invariant; this only changes simulation speed.
+    /// Whether the victim's software stack lowers convolutions to im2col +
+    /// GEMM calls — a threat-model fact that only the GEMM observation
+    /// channel ([`crate::Device::gemm_calls`]) reads. The simulator's own
+    /// kernel is picked by operand density, so this never changes traces
+    /// or timings.
     pub conv_backend: ConvBackend,
-    /// Density thresholds steering the host-side kernel dispatch, including
-    /// whether sparse probe images auto-upgrade to the cached
-    /// [`ConvBackend::SparseCsc`] path. Like the backend, it never changes
-    /// traces or timings — only simulation speed.
-    pub backend_policy: BackendPolicy,
-    /// PE-array numeric precision. Unlike the backend knobs this *does*
+    /// PE-array numeric precision. Unlike `conv_backend` this *does*
     /// change the functional output (INT8 is a lossy deployment transform),
     /// which is exactly what the quantization experiments measure.
     pub compute: Precision,
@@ -286,15 +283,9 @@ impl AccelConfigBuilder {
         self
     }
 
-    /// Host-side convolution backend.
+    /// Whether the victim issues GEMM calls.
     pub fn conv_backend(mut self, backend: ConvBackend) -> Self {
         self.cfg.conv_backend = backend;
-        self
-    }
-
-    /// Kernel-dispatch policy.
-    pub fn backend_policy(mut self, policy: BackendPolicy) -> Self {
-        self.cfg.backend_policy = policy;
         self
     }
 
@@ -443,7 +434,6 @@ impl AccelConfig {
             reuse_activations: false,
             separate_batch_norm: false,
             conv_backend: ConvBackend::default(),
-            backend_policy: BackendPolicy::default(),
             compute: Precision::F32,
         }
     }
@@ -471,7 +461,6 @@ impl AccelConfig {
             reuse_activations: false,
             separate_batch_norm: false,
             conv_backend: ConvBackend::default(),
-            backend_policy: BackendPolicy::default(),
             compute: Precision::F32,
         }
     }
@@ -501,15 +490,10 @@ impl AccelConfig {
         self
     }
 
-    /// Same accelerator with an explicit host-side convolution backend.
+    /// Same accelerator on a victim that does (or does not) issue GEMM
+    /// calls.
     pub fn with_conv_backend(mut self, backend: ConvBackend) -> Self {
         self.conv_backend = backend;
-        self
-    }
-
-    /// Same accelerator with an explicit kernel-dispatch policy.
-    pub fn with_backend_policy(mut self, policy: BackendPolicy) -> Self {
-        self.backend_policy = policy;
         self
     }
 
@@ -544,8 +528,7 @@ impl AccelConfig {
             weight_bits: self.weight_bits,
             weight_scheme: self.weight_scheme,
             max_weight_passes: 64,
-            require_sparse_eligible: self.conv_backend == ConvBackend::SparseCsc
-                || self.backend_policy.auto_sparse,
+            require_sparse_eligible: true,
         }
     }
 }
@@ -608,19 +591,6 @@ mod tests {
         assert!((cfg.glb_bandwidth_bytes_per_sec() - 76.8e9).abs() < 1e6);
         assert_eq!(cfg.acc_bits, 24);
         assert!(matches!(cfg.act_scheme, CompressionScheme::Csc { .. }));
-    }
-
-    #[test]
-    fn presets_default_to_auto_sparse_policy() {
-        for cfg in [AccelConfig::eyeriss_v2(), AccelConfig::scnn_like()] {
-            assert_eq!(cfg.backend_policy, BackendPolicy::default());
-            assert!(cfg.backend_policy.auto_sparse);
-        }
-        let off = AccelConfig::eyeriss_v2().with_backend_policy(BackendPolicy {
-            auto_sparse: false,
-            ..BackendPolicy::default()
-        });
-        assert!(!off.backend_policy.auto_sparse);
     }
 
     #[test]

@@ -14,6 +14,7 @@ use crate::trace_event::{AccessKind, Trace, TraceEvent, TraceSink};
 use hd_dnn::graph::{ForwardTrace, Network, NodeId, Op, Params, Value};
 use hd_dnn::ForwardCache;
 use hd_tensor::cast;
+use hd_tensor::conv::is_sparse;
 use hd_tensor::{ConvBackend, Tensor3};
 use std::fmt;
 use std::sync::OnceLock;
@@ -93,9 +94,9 @@ pub struct Device {
     // is seeded, so every device over the same (net, params) quantizes
     // identically regardless of run order.
     qnet: OnceLock<hd_dnn::quantize::QuantizedNet>,
-    // Lazily-computed GEMM call dimensions per conv node (Im2colGemm
-    // backend only). A pure function of the sealed weights and config, so
-    // computed at most once per device.
+    // Lazily-computed GEMM call dimensions per conv node (victims that
+    // issue GEMM calls only). A pure function of the sealed weights and
+    // config, so computed at most once per device.
     gemm_shapes: OnceLock<Vec<(NodeId, hd_tensor::GemmShape)>>,
 }
 
@@ -187,33 +188,26 @@ impl Device {
         }
     }
 
-    /// Runs the forward pass with the fastest backend that preserves the
-    /// configured numerics.
+    /// Runs the forward pass on the configured numerics.
     ///
-    /// The sparse path (cached CSC weights + dirty-column recompute) is
-    /// taken when `SparseCsc` is configured explicitly, or when the policy's
-    /// `auto_sparse` is set and the image is below the input density
-    /// threshold — the stripe-probe regime of the prober hot loop. Every
-    /// backend is bit-identical, so this only changes speed, never the
-    /// trace or the encode timings.
+    /// A sparse image — the stripe-probe regime of the prober hot loop —
+    /// takes the cached path (CSC weights compacted once per device,
+    /// dirty-column recompute against the zero-input baseline); any other
+    /// image runs [`Network::forward`]. Both are bit-identical, so this
+    /// only changes speed, never the trace or the encode timings.
     fn forward_for(&self, image: &Tensor3) -> ForwardTrace {
         if self.cfg.compute == Precision::Int8 {
-            return self.net.forward_quantized(self.quantized_net(), image);
-        }
-        let policy = self.cfg.backend_policy;
-        let sparse = self.cfg.conv_backend == ConvBackend::SparseCsc
-            || (policy.auto_sparse && policy.input_is_sparse(image.nnz(), image.shape().len()));
-        if sparse {
+            self.net.forward_quantized(self.quantized_net(), image)
+        } else if is_sparse(image.nnz(), image.shape().len()) {
             let mut built = false;
             let cache = self.fwd_cache.get_or_init(|| {
                 built = true;
-                ForwardCache::build(&self.net, &self.params, policy)
+                ForwardCache::build(&self.net, &self.params)
             });
             hd_obs::counter_add("device.fwd_cache", if built { "miss" } else { "hit" }, 1);
             self.net.forward_cached(&self.params, image, cache)
         } else {
-            self.net
-                .forward_with_policy(&self.params, image, self.cfg.conv_backend, policy)
+            self.net.forward(&self.params, image)
         }
     }
 
@@ -511,9 +505,9 @@ impl Device {
     /// et al.): on a real system these leak through shared-cache probes of
     /// the BLAS library's block loops, no DRAM access needed.
     ///
-    /// Empty unless the device actually lowers convolutions through
-    /// im2col+GEMM ([`ConvBackend::Im2colGemm`]); the direct and sparse-CSC
-    /// backends issue no GEMM, so there is nothing to observe. Under
+    /// Empty unless the victim's software stack lowers convolutions to
+    /// GEMM calls ([`ConvBackend::Im2colGemm`]); a [`ConvBackend::Direct`]
+    /// victim issues none, so there is nothing to observe. Under
     /// [`Defence::NnRearch`] every dimension is rounded up to the schedule
     /// tile, which is exactly what the padded block loops expose.
     ///
@@ -1017,7 +1011,7 @@ mod tests {
         // Cached: the second call returns the same slice.
         assert_eq!(gemm.gemm_calls(), calls);
 
-        // Other backends issue no GEMM — nothing for the channel to see.
+        // A victim that issues no GEMM leaves nothing for the channel to see.
         let direct = mk(AccelConfig::eyeriss_v2().with_conv_backend(ConvBackend::Direct));
         assert!(direct.gemm_calls().is_empty());
 
@@ -1063,6 +1057,9 @@ mod tests {
 
     #[test]
     fn conv_backend_does_not_change_traces_or_timings() {
+        // Whether the victim issues GEMM calls is visible only to the GEMM
+        // channel: dense images and stripe probes (the two forward paths)
+        // yield the same trace and timings either way.
         let mut b = NetworkBuilder::new(2, 8, 8);
         let x = b.input();
         let x = b.conv(x, 4, 3, 1);
@@ -1079,53 +1076,16 @@ mod tests {
         };
         let direct = mk(hd_tensor::ConvBackend::Direct);
         let gemm = mk(hd_tensor::ConvBackend::Im2colGemm);
-        let sparse = mk(hd_tensor::ConvBackend::SparseCsc);
-        let dense_img = Tensor3::full(2, 8, 8, 0.5); // exercises both dense backends
-        let mut stripe = Tensor3::zeros(2, 8, 8); // stripe probe: the sparse regime
+        let dense_img = Tensor3::full(2, 8, 8, 0.5);
+        let mut stripe = Tensor3::zeros(2, 8, 8);
         for y in 0..8 {
             stripe.set(0, y, 3, 1.0);
             stripe.set(1, y, 3, -1.0);
         }
         for img in [&dense_img, &stripe] {
             assert_eq!(direct.run(img), gemm.run(img));
-            assert_eq!(direct.run(img), sparse.run(img));
             assert_eq!(direct.encode_timings(img), gemm.encode_timings(img));
-            assert_eq!(direct.encode_timings(img), sparse.encode_timings(img));
         }
-    }
-
-    #[test]
-    fn auto_sparse_path_matches_explicit_backends() {
-        // With the default policy a sparse image routes the *default* device
-        // through the cached-CSC path; a device with auto_sparse disabled
-        // must produce the identical trace and timings.
-        let mut b = NetworkBuilder::new(2, 8, 8);
-        let x = b.input();
-        let x = b.conv(x, 4, 3, 1);
-        let x = b.max_pool(x, 2);
-        let x = b.conv(x, 6, 3, 1);
-        let x = b.global_avg_pool(x);
-        b.linear(x, 5);
-        let net = b.build();
-        let params = Params::init(&net, 9);
-        let auto = Device::new(net.clone(), params.clone(), AccelConfig::eyeriss_v2());
-        let dense_only = Device::new(
-            net,
-            params,
-            AccelConfig::eyeriss_v2().with_backend_policy(hd_tensor::BackendPolicy {
-                auto_sparse: false,
-                ..Default::default()
-            }),
-        );
-        let mut stripe = Tensor3::zeros(2, 8, 8);
-        for y in 0..8 {
-            stripe.set(0, y, 5, 1.0);
-        }
-        assert_eq!(auto.run(&stripe), dense_only.run(&stripe));
-        assert_eq!(
-            auto.encode_timings(&stripe),
-            dense_only.encode_timings(&stripe)
-        );
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Bench for the convolution kernels: times every VGG-S conv layer shape
-//! under the `Direct` loop and the `Im2colGemm` backend — with the SIMD
-//! dispatcher on and forced to scalar — plus the INT8 `qconv2d` kernel,
-//! with dense and paper-style pruned weights. Asserts that the backends
-//! and both SIMD paths are bit-identical, and writes the wall-clock
-//! numbers to `BENCH_conv_gemm.json` at the repository root.
+//! through `conv2d` (dense inputs, so its density dispatch runs the im2col
+//! GEMM) — with the SIMD dispatcher on and forced to scalar — plus the INT8
+//! `qconv2d` kernel, with dense and paper-style pruned weights. Asserts
+//! that the GEMM output is bit-identical to `conv2d_reference` on both
+//! SIMD paths, and writes the wall-clock numbers to `BENCH_conv_gemm.json`
+//! at the repository root.
 //!
 //! ```text
 //! cargo bench -p hd-bench --bench fig_conv_backend
@@ -20,7 +21,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hd_dnn::graph::{Op, ValueShape};
-use hd_tensor::conv::{conv2d, Conv2dCfg, ConvBackend};
+use hd_tensor::conv::{conv2d, conv2d_reference, Conv2dCfg};
 use hd_tensor::gemm::{gemm, GemmBlocking};
 use hd_tensor::qconv::{qconv2d, QConvParams};
 use hd_tensor::qtensor::{QTensor3, QTensor4, QuantParams};
@@ -143,8 +144,7 @@ fn guard_measure(guard_layer: &str) -> (f64, f64) {
         .into_iter()
         .find(|l| l.name == guard_layer)
         .expect("guard layer exists in the zoo");
-    let cfg = Conv2dCfg::new(layer.stride, hd_tensor::conv::Padding::Same)
-        .with_backend(ConvBackend::Im2colGemm);
+    let cfg = Conv2dCfg::new(layer.stride, hd_tensor::conv::Padding::Same);
     let (qx, qp) = quantize_workload(&layer.input, &layer.weights, &cfg);
     let best_of = |f: &dyn Fn()| {
         f(); // warmup
@@ -231,24 +231,20 @@ fn bench(c: &mut Criterion) {
     // Guard baselines are measured FIRST, before the criterion sweep
     // heats the machine, so they match the state a standalone
     // `HD_BENCH_GUARD=1` run sees. The guard layer is the largest by
-    // weight count (first on ties, matching the loop below).
-    let guard_baselines = if smoke {
-        None
-    } else {
-        let mut g = &layers[0];
-        for l in &layers {
-            if l.weights.len() > g.weights.len() {
-                g = l;
-            }
+    // weight count (first on ties).
+    let mut guard = &layers[0];
+    for l in &layers {
+        if l.weights.len() > guard.weights.len() {
+            guard = l;
         }
-        Some(guard_measure(&g.name))
-    };
+    }
+    let guard_layer = guard.name.clone();
+    let guard_baselines = (!smoke).then(|| guard_measure(&guard_layer));
 
     let mean = |ts: &[f64]| ts.iter().sum::<f64>() / ts.len() as f64;
     let mut rows = Vec::new();
     let mut kernel_rows = Vec::new();
-    let mut largest: Option<(usize, f64, String)> = None; // (weight count, speedup, layer)
-                                                          // Per-layer SIMD-over-scalar ratios of the bare GEMM kernel.
+    // Per-layer SIMD-over-scalar ratios of the bare GEMM kernel.
     let mut gemm_ratios = Vec::new();
 
     for (pos, layer) in layers.iter().enumerate() {
@@ -259,54 +255,36 @@ fn bench(c: &mut Criterion) {
                 pruned(&layer.weights, layer.sparsity, 0x5EED + pos as u64),
             ),
         ] {
-            let direct_cfg = Conv2dCfg::new(layer.stride, hd_tensor::conv::Padding::Same)
-                .with_backend(ConvBackend::Direct);
-            let gemm_cfg = direct_cfg.with_backend(ConvBackend::Im2colGemm);
-            let (qx, qp) = quantize_workload(&layer.input, &weights, &gemm_cfg);
+            let cfg = Conv2dCfg::new(layer.stride, hd_tensor::conv::Padding::Same);
+            let (qx, qp) = quantize_workload(&layer.input, &weights, &cfg);
+            let want = conv2d_reference(&layer.input, &weights, None, &cfg);
             let mut outputs: Vec<(bool, Tensor3, Vec<i8>)> = Vec::new();
 
             for simd_on in [true, false] {
                 simd::set_enabled(simd_on);
                 let tag = if simd_on { "simd" } else { "scalar" };
-                let (d_out, d_times) =
-                    timed(c, &format!("{}_{variant}_direct_{tag}", layer.name), || {
-                        conv2d(&layer.input, &weights, None, &direct_cfg)
-                    });
                 let (g_out, g_times) =
                     timed(c, &format!("{}_{variant}_gemm_{tag}", layer.name), || {
-                        conv2d(&layer.input, &weights, None, &gemm_cfg)
+                        conv2d(&layer.input, &weights, None, &cfg)
                     });
                 let (q_out, q_times) =
                     timed(c, &format!("{}_{variant}_int8_{tag}", layer.name), || {
-                        qconv2d(&qx, &qp, &gemm_cfg)
+                        qconv2d(&qx, &qp, &cfg)
                     });
                 assert_eq!(
-                    d_out.data(),
+                    want.data(),
                     g_out.data(),
-                    "backends diverged on {} ({variant}, {tag})",
+                    "GEMM diverged from the reference on {} ({variant}, {tag})",
                     layer.name
                 );
-                let (d_ms, g_ms, q_ms) = (
-                    mean(&d_times) * 1e3,
-                    mean(&g_times) * 1e3,
-                    mean(&q_times) * 1e3,
-                );
-                let speedup = d_ms / g_ms;
+                let (g_ms, q_ms) = (mean(&g_times) * 1e3, mean(&q_times) * 1e3);
                 println!(
-                    "{} [{variant}, {tag}]: direct {d_ms:.3} ms, gemm {g_ms:.3} ms \
-                     ({speedup:.2}x), int8 {q_ms:.3} ms",
+                    "{} [{variant}, {tag}]: gemm {g_ms:.3} ms, int8 {q_ms:.3} ms",
                     layer.name
                 );
-                if simd_on && variant == "dense" {
-                    let wcount = weights.len();
-                    if largest.as_ref().is_none_or(|(n, _, _)| wcount > *n) {
-                        largest = Some((wcount, speedup, layer.name.clone()));
-                    }
-                }
                 rows.push(format!(
                     "    {{ \"layer\": \"{}\", \"weights\": \"{variant}\", \"simd\": {simd_on}, \
-                     \"direct_ms\": {d_ms:.3}, \"gemm_ms\": {g_ms:.3}, \"speedup\": {speedup:.3}, \
-                     \"int8_ms\": {q_ms:.3} }}",
+                     \"gemm_ms\": {g_ms:.3}, \"int8_ms\": {q_ms:.3} }}",
                     layer.name
                 ));
                 outputs.push((simd_on, g_out, q_out.data().to_vec()));
@@ -387,10 +365,8 @@ fn bench(c: &mut Criterion) {
 
     let geomean =
         (gemm_ratios.iter().map(|r| r.ln()).sum::<f64>() / gemm_ratios.len() as f64).exp();
-    let (_, largest_speedup, guard_layer) = largest.expect("at least one layer benched");
     println!(
-        "SIMD-over-scalar GEMM geomean {geomean:.2}x (ISA {}), largest-layer dense \
-         gemm-over-direct {largest_speedup:.2}x",
+        "SIMD-over-scalar GEMM geomean {geomean:.2}x (ISA {})",
         simd::active_isa()
     );
     if smoke {
@@ -403,7 +379,6 @@ fn bench(c: &mut Criterion) {
         "{{\n  \"bench\": \"fig_conv_backend\",\n  \"victim\": \"VGG-S conv layer shapes\",\n  \
          \"smoke\": {smoke},\n  \"isa\": \"{isa}\",\n  \"simd_available\": {avail},\n  \
          \"gemm_simd_speedup_geomean\": {geomean:.3},\n  \
-         \"largest_layer_dense_speedup\": {largest_speedup:.3},\n  \
          \"guard_layer\": \"{guard_layer}\",\n  \
          \"guard_gemm_ms\": {guard_gemm_ms:.3},\n  \"guard_int8_ms\": {guard_int8_ms:.3},\n  \
          \"results_bit_identical\": true,\n  \"gemm_kernel\": [\n{}\n  ],\n  \

@@ -1,9 +1,8 @@
 //! Bench for the sparse forward path: runs the full end-to-end prober
 //! (stripe probes through the victim device, single-threaded) against
-//! VGG-S and ResNet-18 with (a) the dense default backend pinned via an
-//! `auto_sparse: false` policy and (b) the cached-CSC sparse path, asserts
-//! the `ProberResult`s are bit-identical, and writes the measured
-//! wall-clock numbers to `BENCH_sparse_fwd.json` at the repository root.
+//! VGG-S and ResNet-18 on the default device, whose stripe probes take the
+//! cached-CSC forward path, and writes the measured wall-clock numbers to
+//! `BENCH_sparse_fwd.json` at the repository root.
 //!
 //! ```text
 //! cargo bench -p hd-bench --bench fig_sparse_fwd
@@ -17,7 +16,7 @@
 //! `BENCH_sparse_fwd.json` — the contract that the `hd-obs` disabled path
 //! (one relaxed atomic load per hook) stays free.
 //!
-//! Both rows run with `parallelism = Some(1)`: the sparse path accelerates
+//! Every row runs with `parallelism = Some(1)`: the sparse path accelerates
 //! each inference, so its speedup is orthogonal to (and composes with) the
 //! `-j` probe-level parallelism measured by `fig_prober_parallel`. Smoke
 //! mode shrinks the probe budget and skips the JSON write so CI cannot
@@ -25,34 +24,31 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hd_bench::victims::{paper_victim_with, Model};
-use hd_tensor::BackendPolicy;
 use huffduff_core::prober::{probe, ProberConfig};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Times `probe(device, cfg)` under criterion, recording every sample
-/// (including the warmup, which the caller discards).
+/// Times `probe(device, cfg)` under criterion, returning every sample
+/// but the warmup.
 fn timed_bench(
     c: &mut Criterion,
     id: &str,
     device: &hd_accel::Device,
     cfg: &ProberConfig,
-) -> (huffduff_core::prober::ProberResult, Vec<f64>) {
+) -> Vec<f64> {
     let times = Mutex::new(Vec::new());
-    let last = Mutex::new(None);
     c.bench_function(id, |b| {
         b.iter(|| {
             let t0 = Instant::now();
-            let r = probe(device, cfg).expect("probe succeeds");
+            probe(device, cfg).expect("probe succeeds");
             times.lock().unwrap().push(t0.elapsed().as_secs_f64());
-            *last.lock().unwrap() = Some(r);
         })
     });
     let mut times = times.into_inner().unwrap();
     if times.len() > 1 {
         times.remove(0); // warmup sample
     }
-    (last.into_inner().unwrap().expect("probe ran"), times)
+    times
 }
 
 const BENCH_JSON: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sparse_fwd.json");
@@ -119,12 +115,6 @@ fn bench(c: &mut Criterion) {
     }
     .with_parallelism(Some(1)); // isolate per-inference speed from -j fan-out
 
-    // Dense baseline: the default backend (im2col+GEMM) with auto sparse
-    // routing disabled — exactly the device behavior before the CSC path.
-    let dense_policy = BackendPolicy {
-        auto_sparse: false,
-        ..Default::default()
-    };
     let models = if smoke {
         vec![Model::VggS]
     } else {
@@ -140,40 +130,15 @@ fn bench(c: &mut Criterion) {
     };
     let mut rows = Vec::new();
     for model in models {
-        let (dense_dev, _) = paper_victim_with(
-            model,
-            3,
-            hd_accel::AccelConfig::eyeriss_v2().with_backend_policy(dense_policy),
-        );
-        // Sparse path: the out-of-the-box default config auto-selects the
-        // cached-CSC forward for sparse inputs (every stripe probe).
-        let (sparse_dev, _) = paper_victim_with(model, 3, hd_accel::AccelConfig::eyeriss_v2());
-
+        let (device, _) = paper_victim_with(model, 3, hd_accel::AccelConfig::eyeriss_v2());
         let tag = model.name().to_lowercase().replace('-', "_");
-        let (dense_res, dense_s) =
-            timed_bench(c, &format!("{tag}_probe_dense"), &dense_dev, &probe_cfg);
-        let (sparse_res, sparse_s) =
-            timed_bench(c, &format!("{tag}_probe_sparse"), &sparse_dev, &probe_cfg);
-        assert_eq!(
-            dense_res,
-            sparse_res,
-            "sparse forward must be bit-identical to the dense backend on {}",
-            model.name()
-        );
-
-        let (d_mean, s_mean) = (mean(&dense_s), mean(&sparse_s));
-        let speedup = d_mean / s_mean;
-        println!(
-            "{}: dense {d_mean:.2}s vs sparse {s_mean:.2}s (single-threaded): \
-             {speedup:.2}x, results identical",
-            model.name()
-        );
+        let sparse_s = timed_bench(c, &format!("{tag}_probe_sparse"), &device, &probe_cfg);
+        let s_mean = mean(&sparse_s);
+        println!("{}: sparse {s_mean:.2}s (single-threaded)", model.name());
         rows.push(format!(
-            "    {{ \"victim\": \"{}\", \"dense\": {{ \"mean_s\": {d_mean:.3}, \
-             \"samples_s\": [{}] }}, \"sparse\": {{ \"mean_s\": {s_mean:.3}, \
-             \"samples_s\": [{}] }}, \"speedup\": {speedup:.3} }}",
+            "    {{ \"victim\": \"{}\", \"sparse\": {{ \"mean_s\": {s_mean:.3}, \
+             \"samples_s\": [{}] }} }}",
             model.name(),
-            fmt_samples(&dense_s),
             fmt_samples(&sparse_s),
         ));
     }
@@ -185,10 +150,9 @@ fn bench(c: &mut Criterion) {
     }
     let json = format!(
         "{{\n  \"bench\": \"fig_sparse_fwd\",\n  \"parallelism\": 1,\n  \
-         \"note\": \"single-threaded end-to-end prober wall-clock; dense row pins the \
-         default im2col+GEMM backend via auto_sparse=false, sparse row is the default \
-         device config (auto CSC on stripe probes); orthogonal to -j probe fan-out\",\n  \
-         \"results_bit_identical\": true,\n  \"victims\": [\n{}\n  ]\n}}\n",
+         \"note\": \"single-threaded end-to-end prober wall-clock on the default device \
+         config (stripe probes take the cached CSC forward); orthogonal to -j probe \
+         fan-out\",\n  \"victims\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     );
     std::fs::write(BENCH_JSON, json).expect("write BENCH_sparse_fwd.json");

@@ -108,10 +108,10 @@ fn live_k1(device: &Device, net: &hd_dnn::graph::Network) -> usize {
 
 /// Runs the matrix and returns every cell. Deterministic in `scale`.
 ///
-/// Every device runs the im2col+GEMM backend so the GEMM channel has
-/// calls to observe; bit-identity across backends is already enforced by
-/// the pruning matrix and the backend-invariance tests, so re-spanning
-/// backends here would triple the cost without adding information.
+/// Every victim lowers its convolutions to GEMM calls
+/// ([`ConvBackend::Im2colGemm`]) so the GEMM channel has calls to observe;
+/// the other channels do not depend on it (see the backend-invariance
+/// tests).
 pub fn channel_matrix_cells(scale: Scale) -> Vec<ChannelCell> {
     let models: &[Model] = match scale {
         Scale::Smoke | Scale::Fast => &[Model::VggS],

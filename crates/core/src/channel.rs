@@ -216,7 +216,7 @@ pub enum ChannelKind {
     Trace,
     /// Encode windows only.
     Timing,
-    /// GEMM call dimensions from the im2col backend.
+    /// GEMM call dimensions of a victim that lowers convs to im2col + GEMM.
     Gemm,
 }
 
@@ -413,8 +413,8 @@ impl ObservationModel for TimingOnly<'_> {
     }
 }
 
-/// The Cache-Telepathy channel: `(m, k, n)` of every GEMM call the im2col
-/// backend issues, in execution order.
+/// The Cache-Telepathy channel: `(m, k, n)` of every GEMM call the victim's
+/// im2col lowering issues, in execution order.
 ///
 /// The dimensions are a pure function of the (pruned) weights and the layer
 /// geometry — input images never change them — so the model reads the
@@ -472,7 +472,7 @@ impl ObservationModel for GemmDims<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hd_accel::{AccelConfig, Trace, TraceSink};
+    use hd_accel::{AccelConfig, TraceSink};
     use hd_dnn::graph::{NetworkBuilder, Params};
     use hd_tensor::ConvBackend;
 

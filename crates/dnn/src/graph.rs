@@ -7,7 +7,7 @@
 //! explicit and queryable, so experiments can compare recovered vs. actual
 //! geometry directly.
 
-use hd_tensor::conv::{conv2d, conv_out_dim, BackendPolicy, Conv2dCfg, ConvBackend, Padding};
+use hd_tensor::conv::{conv2d, conv_out_dim, Conv2dCfg, Padding};
 use hd_tensor::dwconv::dwconv2d;
 use hd_tensor::norm::Affine;
 use hd_tensor::pool::{global_avg_pool, pool2d, PoolKind};
@@ -301,51 +301,17 @@ impl Network {
             .sum()
     }
 
-    /// Runs the network with the default convolution backend, keeping every
-    /// intermediate needed for backprop.
+    /// Runs the network, keeping every intermediate needed for backprop.
+    ///
+    /// Each convolution picks its kernel from the density of its operands
+    /// (see `hd_tensor::conv::conv2d`); every kernel is bit-identical to
+    /// the reference loop, so the trace contents never depend on the pick.
     ///
     /// # Panics
     ///
     /// Panics if the input shape does not match the network's declared input
     /// shape, or if parameters are missing for a weighted node.
     pub fn forward(&self, params: &Params, input: &Tensor3) -> ForwardTrace {
-        self.forward_with(params, input, ConvBackend::default())
-    }
-
-    /// Runs the network with an explicit convolution backend.
-    ///
-    /// Backends are bit-identical (see `hd_tensor::gemm` and
-    /// `hd_tensor::csc_conv`), so this only changes wall-clock time, never
-    /// the trace contents.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Network::forward`].
-    pub fn forward_with(
-        &self,
-        params: &Params,
-        input: &Tensor3,
-        backend: ConvBackend,
-    ) -> ForwardTrace {
-        self.forward_with_policy(params, input, backend, BackendPolicy::default())
-    }
-
-    /// [`Network::forward_with`] with an explicit kernel-dispatch policy.
-    ///
-    /// The policy moves work between bit-identical kernels (CSC scatter vs
-    /// dense backends), so like the backend choice it never changes the
-    /// trace contents.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Network::forward`].
-    pub fn forward_with_policy(
-        &self,
-        params: &Params,
-        input: &Tensor3,
-        backend: ConvBackend,
-        policy: BackendPolicy,
-    ) -> ForwardTrace {
         assert_eq!(
             input.shape(),
             self.input_shape,
@@ -364,9 +330,7 @@ impl Network {
                 Op::Conv(spec) => {
                     let x = traces[node.inputs[0]].out.map();
                     let lp = params.conv(id);
-                    let cfg = Conv2dCfg::new(spec.stride, spec.padding)
-                        .with_backend(backend)
-                        .with_policy(policy);
+                    let cfg = Conv2dCfg::new(spec.stride, spec.padding);
                     let conv_out = conv2d(x, lp.w, lp.b.as_deref(), &cfg);
                     let (pre_bn, bn_out) = if let Some(bn) = &lp.bn {
                         (Some(conv_out.clone()), bn.apply(&conv_out))
@@ -394,9 +358,7 @@ impl Network {
                 } => {
                     let x = traces[node.inputs[0]].out.map();
                     let lp = params.dwconv(id);
-                    let cfg = Conv2dCfg::new(*stride, Padding::Same)
-                        .with_backend(backend)
-                        .with_policy(policy);
+                    let cfg = Conv2dCfg::new(*stride, Padding::Same);
                     let conv_out = dwconv2d(x, lp.w, &cfg);
                     let (pre_bn, bn_out) = if let Some(bn) = &lp.bn {
                         (Some(conv_out.clone()), bn.apply(&conv_out))
@@ -1073,22 +1035,6 @@ mod tests {
         let params = Params::init(&net, 2);
         let out = net.forward(&params, &Tensor3::full(6, 8, 8, 1.0));
         assert_eq!(out.value(1).map().c(), 6);
-    }
-
-    #[test]
-    fn forward_backends_are_bit_identical() {
-        let net = tiny_net();
-        let params = Params::init(&net, 3);
-        let mut input = Tensor3::zeros(3, 8, 8);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
-        input.fill_uniform(&mut rng, 0.1, 1.0);
-        let direct = net.forward_with(&params, &input, ConvBackend::Direct);
-        let gemm = net.forward_with(&params, &input, ConvBackend::Im2colGemm);
-        for (a, b) in direct.traces.iter().zip(&gemm.traces) {
-            for (x, y) in a.out.flat().iter().zip(b.out.flat()) {
-                assert!(x.to_bits() == y.to_bits(), "{x} vs {y}");
-            }
-        }
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!
 //! # Bit-identity
 //!
-//! The recomputed columns run the exact kernels (and accumulation orders) of
-//! [`Network::forward_with`]; the copied columns are bit-equal to a full
+//! The recomputed columns run the exact accumulation order of
+//! [`Network::forward`]; the copied columns are bit-equal to a full
 //! recomputation because their inputs are bit-equal to the baseline's and
 //! every op is column-local (batch-norm shifts and biases are absorbed by
 //! the baseline rather than widening the interval). The resulting
@@ -27,7 +27,7 @@
 //! trace fixture.
 
 use hd_tensor::colspan::ColSpan;
-use hd_tensor::conv::{same_pad, BackendPolicy, Conv2dCfg, Padding};
+use hd_tensor::conv::{same_pad, Conv2dCfg, Padding};
 use hd_tensor::csc_conv::{conv2d_csc, CscWeights};
 use hd_tensor::dwconv::dwconv2d;
 use hd_tensor::pool::{global_avg_pool, pool2d_cols};
@@ -41,7 +41,6 @@ type SparseRow = Vec<(u32, f32)>;
 /// Per-victim precomputed state reused across probe inferences.
 #[derive(Clone, Debug)]
 pub struct ForwardCache {
-    policy: BackendPolicy,
     /// CSC weight compaction per conv node.
     csc: Vec<Option<CscWeights>>,
     /// Compacted rows per linear node.
@@ -53,7 +52,7 @@ pub struct ForwardCache {
 impl ForwardCache {
     /// Compacts weights and records the zero-input baseline trace for
     /// `net`/`params`.
-    pub fn build(net: &Network, params: &Params, policy: BackendPolicy) -> Self {
+    pub fn build(net: &Network, params: &Params) -> Self {
         let mut csc: Vec<Option<CscWeights>> = vec![None; net.len()];
         let mut linear_rows: Vec<Option<Vec<SparseRow>>> = vec![None; net.len()];
         for (id, node) in net.nodes().iter().enumerate() {
@@ -80,18 +79,12 @@ impl ForwardCache {
         }
         let shape = net.input_shape();
         let zeros = Tensor3::zeros(shape.c, shape.h, shape.w);
-        let baseline = net.forward_with_policy(params, &zeros, Default::default(), policy);
+        let baseline = net.forward(params, &zeros);
         ForwardCache {
-            policy,
             csc,
             linear_rows,
             baseline,
         }
-    }
-
-    /// The dispatch policy the cache was built with.
-    pub fn policy(&self) -> BackendPolicy {
-        self.policy
     }
 }
 
@@ -193,8 +186,8 @@ impl Network {
     /// Runs the network through `cache`, recomputing only the columns that
     /// can differ from the cached zero-input baseline.
     ///
-    /// Bit-identical to [`Network::forward_with`] under any backend; the
-    /// narrower the input's nonzero-column interval, the larger the saving.
+    /// Bit-identical to [`Network::forward`]; the narrower the input's
+    /// nonzero-column interval, the larger the saving.
     ///
     /// # Panics
     ///
@@ -443,7 +436,6 @@ impl Network {
 mod tests {
     use super::*;
     use crate::graph::NetworkBuilder;
-    use hd_tensor::ConvBackend;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -502,9 +494,9 @@ mod tests {
         b.linear(x, 4);
         let net = b.build();
         let params = pruned_params(&net, 11);
-        let cache = ForwardCache::build(&net, &params, BackendPolicy::default());
+        let cache = ForwardCache::build(&net, &params);
         for (i, img) in probe_images(3, 12, 12, 5).iter().enumerate() {
-            let want = net.forward_with(&params, img, ConvBackend::Direct);
+            let want = net.forward(&params, img);
             let got = net.forward_cached(&params, img, &cache);
             assert_traces_bit_identical(&want, &got);
             let _ = i;
@@ -530,9 +522,9 @@ mod tests {
         b.linear(x, 6);
         let net = b.build();
         let params = pruned_params(&net, 23);
-        let cache = ForwardCache::build(&net, &params, BackendPolicy::default());
+        let cache = ForwardCache::build(&net, &params);
         for img in probe_images(3, 16, 16, 17) {
-            let want = net.forward_with(&params, &img, ConvBackend::Im2colGemm);
+            let want = net.forward(&params, &img);
             let got = net.forward_cached(&params, &img, &cache);
             assert_traces_bit_identical(&want, &got);
         }
@@ -545,7 +537,7 @@ mod tests {
         let mut params = Params::init(&net, 3);
         let profile = crate::prune::paper_profile(&net);
         crate::prune::apply_sparsity_profile(&net, &mut params, &profile, 3);
-        let cache = ForwardCache::build(&net, &params, BackendPolicy::default());
+        let cache = ForwardCache::build(&net, &params);
         let shape = net.input_shape();
         let mut img = Tensor3::zeros(shape.c, shape.h, shape.w);
         for ch in 0..shape.c {
@@ -553,7 +545,7 @@ mod tests {
                 img.set(ch, y, 7, if (ch + y) % 2 == 0 { 0.75 } else { -0.5 });
             }
         }
-        let want = net.forward_with(&params, &img, ConvBackend::default());
+        let want = net.forward(&params, &img);
         let got = net.forward_cached(&params, &img, &cache);
         assert_traces_bit_identical(&want, &got);
     }

@@ -385,8 +385,7 @@ pub struct Limits {
     /// mismatch rather than a workable schedule.
     pub max_weight_passes: u64,
     /// Require the graph to be executable by the CSC-cached sparse
-    /// backend (set when the device config pins `ConvBackend::SparseCsc`
-    /// or auto-routes sparse inputs).
+    /// forward path (devices route every sparse input through it).
     pub require_sparse_eligible: bool,
 }
 

@@ -99,11 +99,7 @@ impl Workspace {
     /// Runs every in-scope semantic rule on one file. `excluded` is the
     /// file's `#[cfg(test)]` line-range set (same exclusion as the token
     /// rules).
-    pub fn check_file(
-        &self,
-        fu: &FileUnit,
-        excluded: &[RangeInclusive<u32>],
-    ) -> Vec<Violation> {
+    pub fn check_file(&self, fu: &FileUnit, excluded: &[RangeInclusive<u32>]) -> Vec<Violation> {
         let mut out = Vec::new();
         if rule_in_scope("atomic-ordering", &fu.rel) {
             atomic_ordering(fu, excluded, &mut out);
@@ -280,22 +276,19 @@ fn lock_discipline(
                     line: t[i].line,
                 });
             } else if !guards.is_empty()
-                && is_sentinel_call(t, i)
                 && !in_tests(excluded, t[i].line)
-            {
-                push_guard_violation(fu, t, i, &guards, out);
-            } else if !guards.is_empty()
-                && t[i].kind == TokenKind::Ident
-                && text(t, i + 1) == "("
-                && text(t, i.wrapping_sub(1)) != "fn"
-                // Name-based resolution is only trustworthy for free calls
-                // and `self.`/`pool.` method calls; an arbitrary receiver's
-                // `.map(...)` is usually an iterator, not the pool.
-                && (text(t, i.wrapping_sub(1)) != "."
-                    || matches!(text(t, i.wrapping_sub(2)), "self" | "pool"))
-                && ws.is_blocking(krate, t[i].text.as_str())
-                && !SENTINELS.contains(&t[i].text.as_str())
-                && !in_tests(excluded, t[i].line)
+                && (is_sentinel_call(t, i)
+                    || (t[i].kind == TokenKind::Ident
+                        && text(t, i + 1) == "("
+                        && text(t, i.wrapping_sub(1)) != "fn"
+                        // Name-based resolution is only trustworthy for free
+                        // calls and `self.`/`pool.` method calls; an arbitrary
+                        // receiver's `.map(...)` is usually an iterator, not
+                        // the pool.
+                        && (text(t, i.wrapping_sub(1)) != "."
+                            || matches!(text(t, i.wrapping_sub(2)), "self" | "pool"))
+                        && ws.is_blocking(krate, t[i].text.as_str())
+                        && !SENTINELS.contains(&t[i].text.as_str())))
             {
                 push_guard_violation(fu, t, i, &guards, out);
             }
@@ -416,12 +409,15 @@ fn binding_name(t: &[Token], body_start: usize, i: usize) -> Option<String> {
     None
 }
 
+/// `(krate, outer mutex, inner mutex)` -> every `(file, line, col)` site
+/// that acquires `inner` while holding `outer`.
+type AcquisitionSites = BTreeMap<(String, String, String), Vec<(String, u32, u32)>>;
+
 /// Per-crate nested-acquisition audit: collects every `(outer, inner)`
 /// mutex pair; when a crate acquires the same two mutexes in both orders,
 /// every site of the minority direction is an inconsistency.
 fn lock_order_audit(files: &[FileUnit]) -> Vec<Violation> {
-    // (krate, outer, inner) -> acquisition sites.
-    let mut pairs: BTreeMap<(String, String, String), Vec<(String, u32, u32)>> = BTreeMap::new();
+    let mut pairs: AcquisitionSites = BTreeMap::new();
     for fu in files {
         let krate = crate_of(&fu.rel).to_string();
         let excluded = test_regions(&fu.lexed.tokens);
@@ -556,7 +552,9 @@ fn unordered_iter(
     }
 
     for i in 0..t.len() {
-        if t[i].kind != TokenKind::Ident || !names.contains(&t[i].text) || in_tests(excluded, t[i].line)
+        if t[i].kind != TokenKind::Ident
+            || !names.contains(&t[i].text)
+            || in_tests(excluded, t[i].line)
         {
             continue;
         }
@@ -655,9 +653,7 @@ fn float_reduction_order(
             // `.fold(0.0, |acc, v| acc + v)`: float-literal seed plus an
             // additive closure. Order-independent folds (max/min) pass.
             "fold" => {
-                text(t, i + 2) == "("
-                    && float_literal(t, i + 3, src)
-                    && fold_args_add(t, i + 2)
+                text(t, i + 2) == "(" && float_literal(t, i + 3, src) && fold_args_add(t, i + 2)
             }
             _ => false,
         };
@@ -872,7 +868,8 @@ mod tests {
 
     #[test]
     fn float_sums_flagged_outside_sanctioned_kernels() {
-        let src = "fn softmax_denom(exps: &[f32]) -> f32 { let sum: f32 = exps.iter().sum(); sum }\n\
+        let src =
+            "fn softmax_denom(exps: &[f32]) -> f32 { let sum: f32 = exps.iter().sum(); sum }\n\
                    fn l1(g: &[f32]) -> f32 { g.iter().map(|v| v.abs()).sum::<f32>() }\n";
         let vs = check("crates/dnn/src/fake.rs", src);
         assert_eq!(

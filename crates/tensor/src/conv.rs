@@ -16,89 +16,18 @@ pub enum Padding {
     Valid,
 }
 
-/// Compute backend used by [`conv2d`] once the shared sparse-input CSC fast
-/// path has declined the inference.
-///
-/// All backends are bit-identical (see the accumulation-order contracts in
-/// [`crate::gemm`] and [`crate::csc_conv`]), so traces and timings derived
-/// from the outputs do not depend on this choice.
+/// Whether the victim's software stack lowers convolutions to GEMM calls
+/// (im2col + a BLAS-style library) — a fact about the deployed device that
+/// a Cache-Telepathy-style attacker observes, not a choice of simulator
+/// kernel. [`conv2d`] picks its kernel from density alone, so this never
+/// changes an output bit.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum ConvBackend {
-    /// Naive zero-skipping loop nest (the original reference kernel).
+    /// The victim runs its convolutions without issuing GEMM calls.
     Direct,
-    /// im2col lowering + cache-blocked GEMM ([`crate::im2col`]).
+    /// The victim lowers every convolution to im2col + one GEMM call.
     #[default]
     Im2colGemm,
-    /// Sparse × sparse register-tile kernel over CSC-compacted weights
-    /// ([`crate::csc_conv`]); devices additionally cache the weight
-    /// compaction and track nonzero-column intervals across layers.
-    SparseCsc,
-}
-
-impl ConvBackend {
-    /// Parses a CLI-style backend name (`direct` / `gemm` / `sparse`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "direct" => Some(ConvBackend::Direct),
-            "gemm" | "im2col" | "im2col-gemm" => Some(ConvBackend::Im2colGemm),
-            "sparse" | "csc" | "sparse-csc" => Some(ConvBackend::SparseCsc),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for ConvBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ConvBackend::Direct => "direct",
-            ConvBackend::Im2colGemm => "gemm",
-            ConvBackend::SparseCsc => "sparse",
-        })
-    }
-}
-
-/// Density thresholds steering [`conv2d`]'s kernel dispatch.
-///
-/// Thresholds are expressed in permille (tenths of a percent) rather than
-/// `f32` so the policy — and [`Conv2dCfg`] embedding it — stays `Eq + Hash`.
-/// The defaults reproduce the historical dispatch exactly: 125‰ = 12.5%,
-/// and `nnz * 1000 < len * 125` reduces to the old `nnz * 8 < len` test.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct BackendPolicy {
-    /// Input nnz-density (permille) below which every backend takes the
-    /// CSC tile kernel (probe images, deep post-ReLU maps).
-    pub input_density_threshold: u16,
-    /// Weight nnz-density (permille) below which the dense backends switch
-    /// to the compacted-tap kernel (heavily pruned victim layers).
-    pub weight_density_threshold: u16,
-    /// Whether a device may auto-upgrade sparse-input inferences to
-    /// [`ConvBackend::SparseCsc`] (cached weight compaction + colspan
-    /// interval tracking across layers).
-    pub auto_sparse: bool,
-}
-
-impl Default for BackendPolicy {
-    fn default() -> Self {
-        BackendPolicy {
-            input_density_threshold: 125,
-            weight_density_threshold: 125,
-            auto_sparse: true,
-        }
-    }
-}
-
-impl BackendPolicy {
-    /// Whether an input map with `nnz` nonzeros out of `len` is sparse
-    /// enough for the CSC tile kernel.
-    pub fn input_is_sparse(&self, nnz: usize, len: usize) -> bool {
-        (nnz as u64) * 1000 < (len as u64) * self.input_density_threshold as u64
-    }
-
-    /// Whether a weight tensor with `nnz` nonzeros out of `len` is sparse
-    /// enough for the compacted-tap kernel.
-    pub fn weight_is_sparse(&self, nnz: usize, len: usize) -> bool {
-        (nnz as u64) * 1000 < (len as u64) * self.weight_density_threshold as u64
-    }
 }
 
 /// Convolution hyperparameters.
@@ -108,33 +37,12 @@ pub struct Conv2dCfg {
     pub stride: usize,
     /// Padding mode.
     pub padding: Padding,
-    /// Compute backend (does not affect results, only speed).
-    pub backend: ConvBackend,
-    /// Density thresholds for the sparsity-aware dispatch.
-    pub policy: BackendPolicy,
 }
 
 impl Conv2dCfg {
-    /// Config with the default backend and dispatch policy.
+    /// Config with the given stride and padding.
     pub fn new(stride: usize, padding: Padding) -> Self {
-        Conv2dCfg {
-            stride,
-            padding,
-            backend: ConvBackend::default(),
-            policy: BackendPolicy::default(),
-        }
-    }
-
-    /// Returns the config with `backend` selected.
-    pub fn with_backend(mut self, backend: ConvBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Returns the config with `policy` as its dispatch policy.
-    pub fn with_policy(mut self, policy: BackendPolicy) -> Self {
-        self.policy = policy;
-        self
+        Conv2dCfg { stride, padding }
     }
 }
 
@@ -142,6 +50,13 @@ impl Default for Conv2dCfg {
     fn default() -> Self {
         Conv2dCfg::new(1, Padding::Same)
     }
+}
+
+/// Whether a tensor with `nnz` nonzeros out of `len` is sparse enough
+/// (below 12.5%) for [`conv2d`] to leave the blocked GEMM for a
+/// zero-skipping kernel.
+pub fn is_sparse(nnz: usize, len: usize) -> bool {
+    nnz * 8 < len
 }
 
 /// Output spatial size of a convolution along one dimension.
@@ -165,11 +80,20 @@ pub fn same_pad(input: usize, kernel: usize, stride: usize) -> usize {
     total / 2
 }
 
-/// Direct 2-D convolution: `out[k, p, q] = sum_{c,r,s} in[c, p*stride+r-pad, q*stride+s-pad] * w[k,c,r,s] (+ bias[k])`.
+/// 2-D convolution: `out[k, p, q] = bias[k] + sum_{c,r,s} in[c, p*stride+r-pad, q*stride+s-pad] * w[k,c,r,s]`.
 ///
-/// Zero-valued weights and activations are skipped, mirroring the
-/// zero-skipping datapath of a two-sided sparse accelerator; the numeric
-/// result is identical to the dense computation.
+/// Like the zero-skipping datapath of a two-sided sparse accelerator, the
+/// kernel is chosen by the data, not by a mode switch:
+///
+/// * an input below 12.5% density ([`is_sparse`]) — probe images, deep
+///   post-ReLU maps — takes the CSC register tile
+///   ([`crate::csc_conv`]), which multiplies only nonzero pairs;
+/// * otherwise, weights below 12.5% density take the compacted tap list,
+///   whose cost is `out_pixels x nnz(W)`;
+/// * everything else takes the blocked im2col GEMM ([`crate::im2col`]).
+///
+/// Every kernel is bit-identical to [`conv2d_reference`], so the choice
+/// changes only the speed.
 ///
 /// # Panics
 ///
@@ -204,106 +128,13 @@ pub fn conv2d(input: &Tensor3, weight: &Tensor4, bias: Option<&[f32]>, cfg: &Con
             "bias length must equal output channels"
         );
     }
-
-    // Probe images and post-ReLU activations of pruned networks are mostly
-    // zero; multiplying only nonzero pairs is then far cheaper than
-    // either dense backend. Shared by all backends so the choice below
-    // cannot regress sparse probe inferences. The SparseCsc backend takes
-    // this kernel unconditionally — that is what it is.
-    let nnz = input.nnz();
-    if cfg.backend == ConvBackend::SparseCsc || cfg.policy.input_is_sparse(nnz, input.shape().len())
-    {
-        return crate::csc_conv::conv2d_sparse_csc(input, weight, bias, cfg);
+    if is_sparse(input.nnz(), input.shape().len()) {
+        crate::csc_conv::conv2d_sparse_csc(input, weight, bias, cfg)
+    } else if is_sparse(weight.nnz(), weight.len()) {
+        conv2d_sparse_weights(input, weight, bias, cfg)
+    } else {
+        crate::im2col::conv2d_im2col_gemm(input, weight, bias, cfg)
     }
-
-    // Extremely pruned weights (paper victims sit near 99% sparsity):
-    // iterating only the surviving taps costs `out_pixels x nnz(W)`, which
-    // beats even the blocked GEMM (whose cost stays near-dense once most
-    // tap positions are live in *some* filter). Shared by both dense
-    // backends.
-    let weight_nnz = weight.nnz();
-    if cfg.policy.weight_is_sparse(weight_nnz, weight.len()) {
-        return conv2d_sparse_weights(input, weight, bias, cfg);
-    }
-
-    if cfg.backend == ConvBackend::Im2colGemm {
-        return crate::im2col::conv2d_im2col_gemm(input, weight, bias, cfg);
-    }
-
-    // Moderately pruned weights, direct backend only: GEMM handles this
-    // density range faster, but the reference loop still skips zeros.
-    if weight_nnz * 3 < weight.len() {
-        return conv2d_sparse_weights(input, weight, bias, cfg);
-    }
-
-    if cfg.stride == 1 {
-        return conv2d_direct_rowwise(input, weight, bias, cfg);
-    }
-    conv2d_reference(input, weight, bias, cfg)
-}
-
-/// Stride-1 direct kernel accumulating whole output rows: for each
-/// `(k, p)` the accumulator row starts at the bias and every surviving
-/// weight tap contributes one masked [`crate::simd::axpy_nonzero`] over
-/// the valid output-x run. Per output element the additions happen in
-/// ascending `(c, r, s)` order with the same zero-skipping tests as
-/// [`conv2d_reference`], so the result is bit-identical on both the
-/// vector and scalar dispatch paths.
-fn conv2d_direct_rowwise(
-    input: &Tensor3,
-    weight: &Tensor4,
-    bias: Option<&[f32]>,
-    cfg: &Conv2dCfg,
-) -> Tensor3 {
-    debug_assert_eq!(cfg.stride, 1);
-    let out_h = conv_out_dim(input.h(), weight.r(), 1, cfg.padding);
-    let out_w = conv_out_dim(input.w(), weight.s(), 1, cfg.padding);
-    let (pad_y, pad_x) = match cfg.padding {
-        Padding::Same => (
-            same_pad(input.h(), weight.r(), 1),
-            same_pad(input.w(), weight.s(), 1),
-        ),
-        Padding::Valid => (0, 0),
-    };
-    let (in_h, in_w) = (input.h(), input.w());
-    let in_data = input.data();
-    let mut out = Tensor3::zeros(weight.k(), out_h, out_w);
-    let out_data = out.data_mut();
-    for k in 0..weight.k() {
-        let b = bias.map_or(0.0, |b| b[k]);
-        for p in 0..out_h {
-            let acc_row = &mut out_data[(k * out_h + p) * out_w..][..out_w];
-            acc_row.fill(b);
-            for c in 0..input.c() {
-                for r in 0..weight.r() {
-                    let iy = (p + r) as isize - pad_y as isize;
-                    if iy < 0 || iy >= in_h as isize {
-                        continue;
-                    }
-                    let in_row = &in_data[(c * in_h + iy as usize) * in_w..][..in_w];
-                    for s in 0..weight.s() {
-                        let wv = weight.at(k, c, r, s);
-                        if wv == 0.0 {
-                            continue; // weight zero-skipping
-                        }
-                        // Valid output-x range: 0 <= q + s - pad_x < in_w.
-                        let q_lo = pad_x.saturating_sub(s);
-                        let q_hi = (in_w + pad_x).saturating_sub(s).min(out_w);
-                        if q_lo >= q_hi {
-                            continue;
-                        }
-                        let x_lo = q_lo + s - pad_x;
-                        crate::simd::axpy_nonzero(
-                            &mut acc_row[q_lo..q_hi],
-                            &in_row[x_lo..x_lo + (q_hi - q_lo)],
-                            wv,
-                        );
-                    }
-                }
-            }
-        }
-    }
-    out
 }
 
 /// The reference dense loop nest, with no dispatch: always computes
@@ -317,6 +148,30 @@ pub fn conv2d_reference(
 ) -> Tensor3 {
     let out_h = conv_out_dim(input.h(), weight.r(), cfg.stride, cfg.padding);
     let out_w = conv_out_dim(input.w(), weight.s(), cfg.stride, cfg.padding);
+    let mut out = Tensor3::zeros(weight.k(), out_h, out_w);
+    for k in 0..weight.k() {
+        let b = bias.map_or(0.0, |b| b[k]);
+        for p in 0..out_h {
+            for q in 0..out_w {
+                out.set(k, p, q, reference_at(input, weight, cfg, b, k, p, q));
+            }
+        }
+    }
+    out
+}
+
+/// One output element of [`conv2d_reference`]: `acc` (the bias) plus every
+/// product of a nonzero weight and a nonzero activation under the `(p, q)`
+/// window of filter `k`, added in ascending `(c, r, s)` order.
+pub(crate) fn reference_at(
+    input: &Tensor3,
+    weight: &Tensor4,
+    cfg: &Conv2dCfg,
+    mut acc: f32,
+    k: usize,
+    p: usize,
+    q: usize,
+) -> f32 {
     let (pad_y, pad_x) = match cfg.padding {
         Padding::Same => (
             same_pad(input.h(), weight.r(), cfg.stride),
@@ -324,41 +179,30 @@ pub fn conv2d_reference(
         ),
         Padding::Valid => (0, 0),
     };
-
-    let mut out = Tensor3::zeros(weight.k(), out_h, out_w);
-    for k in 0..weight.k() {
-        let b = bias.map_or(0.0, |b| b[k]);
-        for p in 0..out_h {
-            for q in 0..out_w {
-                let mut acc = b;
-                for c in 0..input.c() {
-                    for r in 0..weight.r() {
-                        let iy = (p * cfg.stride + r) as isize - pad_y as isize;
-                        if iy < 0 || iy >= input.h() as isize {
-                            continue;
-                        }
-                        for s in 0..weight.s() {
-                            let ix = (q * cfg.stride + s) as isize - pad_x as isize;
-                            if ix < 0 || ix >= input.w() as isize {
-                                continue;
-                            }
-                            let wv = weight.at(k, c, r, s);
-                            if wv == 0.0 {
-                                continue; // weight zero-skipping
-                            }
-                            let xv = input.at(c, iy as usize, ix as usize);
-                            if xv == 0.0 {
-                                continue; // activation zero-skipping
-                            }
-                            acc += wv * xv;
-                        }
-                    }
+    for c in 0..input.c() {
+        for r in 0..weight.r() {
+            let iy = (p * cfg.stride + r) as isize - pad_y as isize;
+            if iy < 0 || iy >= input.h() as isize {
+                continue;
+            }
+            for s in 0..weight.s() {
+                let ix = (q * cfg.stride + s) as isize - pad_x as isize;
+                if ix < 0 || ix >= input.w() as isize {
+                    continue;
                 }
-                out.set(k, p, q, acc);
+                let wv = weight.at(k, c, r, s);
+                if wv == 0.0 {
+                    continue; // weight zero-skipping
+                }
+                let xv = input.at(c, iy as usize, ix as usize);
+                if xv == 0.0 {
+                    continue; // activation zero-skipping
+                }
+                acc += wv * xv;
             }
         }
     }
-    out
+    acc
 }
 
 /// Weight-stationary convolution over a compacted non-zero tap list:
@@ -472,16 +316,25 @@ pub fn conv2d_input_grad(
     grad_in
 }
 
-/// Gradient of a convolution with respect to its weights.
+/// Gradient of a convolution with respect to its weights, computed as one
+/// GEMM ([`crate::im2col::conv2d_weight_grad_gemm`]).
 pub fn conv2d_weight_grad(
     grad_out: &Tensor3,
     input: &Tensor3,
     kernel: (usize, usize),
     cfg: &Conv2dCfg,
 ) -> Tensor4 {
-    if cfg.backend != ConvBackend::Direct {
-        return crate::im2col::conv2d_weight_grad_gemm(grad_out, input, kernel, cfg);
-    }
+    crate::im2col::conv2d_weight_grad_gemm(grad_out, input, kernel, cfg)
+}
+
+/// The reference weight-gradient loop nest, with zero-skipping: the test
+/// oracle of [`conv2d_weight_grad`].
+pub fn conv2d_weight_grad_reference(
+    grad_out: &Tensor3,
+    input: &Tensor3,
+    kernel: (usize, usize),
+    cfg: &Conv2dCfg,
+) -> Tensor4 {
     let (kr, ks) = kernel;
     let (pad_y, pad_x) = match cfg.padding {
         Padding::Same => (
@@ -756,35 +609,6 @@ mod tests {
                 scattered.data()
             );
         }
-    }
-
-    #[test]
-    fn backend_policy_defaults_reproduce_historical_dispatch() {
-        // 125‰ == 12.5%: exactly the old `nnz * 8 < len` routing tests.
-        let p = BackendPolicy::default();
-        assert_eq!(p.input_density_threshold, 125);
-        assert_eq!(p.weight_density_threshold, 125);
-        assert!(p.auto_sparse);
-        for len in [1usize, 7, 8, 64, 1000, 12 * 12 * 3] {
-            for nnz in 0..=len {
-                assert_eq!(p.input_is_sparse(nnz, len), nnz * 8 < len, "{nnz}/{len}");
-                assert_eq!(p.weight_is_sparse(nnz, len), nnz * 8 < len, "{nnz}/{len}");
-            }
-        }
-    }
-
-    #[test]
-    fn backend_parse_and_display_roundtrip() {
-        for (name, backend) in [
-            ("direct", ConvBackend::Direct),
-            ("gemm", ConvBackend::Im2colGemm),
-            ("sparse", ConvBackend::SparseCsc),
-        ] {
-            assert_eq!(ConvBackend::parse(name), Some(backend));
-            assert_eq!(backend.to_string(), name);
-        }
-        assert_eq!(ConvBackend::parse("csc"), Some(ConvBackend::SparseCsc));
-        assert_eq!(ConvBackend::parse("nope"), None);
     }
 
     #[test]

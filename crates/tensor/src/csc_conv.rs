@@ -153,7 +153,7 @@ impl CscWeights {
 ///   zero-input baseline trace). Untouched output columns are copied from
 ///   `base`; columns reachable from `in_span` are recomputed from scratch.
 ///
-/// Under either contract the result is bit-identical to running the direct
+/// Under either contract the result is bit-identical to running the reference
 /// loop nest over the full map.
 ///
 /// # Panics
@@ -224,7 +224,7 @@ pub fn conv2d_csc(
     // `p * span + j` is output `(p, out_span.lo() + j)`, and lanes past
     // `out_h * span` only pad the row to whole 8-lane chunks. It is never
     // larger than the output it fills. Every lane starts at the bias, as
-    // the direct loop's `acc = bias[k]` does.
+    // the reference loop's `acc = bias[k]` does.
     let kn = weights.k();
     let span = out_span.width();
     let lanes = (out_h * span).div_ceil(8) * 8;
@@ -248,7 +248,7 @@ pub fn conv2d_csc(
         })
         .collect();
 
-    // Taps arrive in ascending `(c, r, s)`, the order of the direct loop;
+    // Taps arrive in ascending `(c, r, s)`, the order of the reference loop;
     // each runs its whole filter list in one masked call.
     let mut x = vec![0.0f32; lanes];
     for c in 0..weights.c() {
@@ -348,7 +348,7 @@ mod tests {
     }
 
     #[test]
-    fn matches_direct_bitwise_on_random_shapes() {
+    fn matches_reference_bitwise_on_random_shapes() {
         let mut rng = StdRng::seed_from_u64(0xC5C);
         for case in 0..40u64 {
             let (c, h, w) = (
@@ -374,8 +374,7 @@ mod tests {
             }
             let weight = pruned_weights(k, c, kr, kr, 0.5, 0xBEEF + case);
             let bias: Vec<f32> = (0..k).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let cfg =
-                Conv2dCfg::new(stride, padding).with_backend(crate::conv::ConvBackend::Direct);
+            let cfg = Conv2dCfg::new(stride, padding);
             let want = crate::conv::conv2d_reference(&x, &weight, Some(&bias), &cfg);
             let got = conv2d_sparse_csc(&x, &weight, Some(&bias), &cfg);
             assert_eq!(want.shape(), got.shape(), "case {case}");

@@ -1,4 +1,4 @@
-//! Cache-blocked single-precision GEMM for the im2col convolution backend.
+//! Cache-blocked single-precision GEMM for the im2col convolution kernel.
 //!
 //! Classic three-level blocking (Goto/BLIS style): the `n` dimension is
 //! split into `nc`-wide slabs, the shared `k` dimension into `kc`-deep
@@ -20,9 +20,10 @@
 //! for p in 0..k { c[i][j] += a[i][p] * b[p][j]; }
 //! ```
 //!
-//! regardless of the blocking parameters. The conv backends rely on this to
-//! produce results bit-identical to the direct loop nest (which makes the
-//! simulator's DRAM traces and encode timings backend-invariant).
+//! regardless of the blocking parameters. The im2col convolution relies on
+//! this to produce results bit-identical to the reference loop nest, so the
+//! simulator's DRAM traces and encode timings do not depend on which kernel
+//! the density dispatch picks.
 
 pub use crate::simd::{MR, NR};
 

@@ -6,14 +6,19 @@
 //!
 //! * [`Tensor3`] — a single-sample activation map in `C x H x W` layout,
 //! * [`Tensor4`] — a convolution weight tensor in `K x C x R x S` layout,
-//! * [`conv`], [`pool`], [`norm`] — forward kernels; dense convolutions can
-//!   run on a direct loop nest or the [`im2col`] + blocked-[`gemm`] backend
-//!   (selected via [`ConvBackend`], bit-identical by construction),
+//! * [`conv`], [`pool`], [`norm`] — forward kernels; [`conv::conv2d`]
+//!   picks its kernel from density alone — the [`csc_conv`] register tile
+//!   for sparse inputs, a compacted tap list for sparse weights, else the
+//!   [`im2col`] + blocked-[`gemm`] lowering — and every kernel is
+//!   bit-identical to [`conv::conv2d_reference`],
 //! * [`sparse`] — bitmap / run-length / CSC transfer codecs that determine
 //!   exactly how many bytes cross the DRAM bus for a given tensor.
 //!
-//! All kernels are deterministic; the GEMM backend keeps CIFAR-scale probe
-//! campaigns fast without perturbing a single output bit.
+//! All kernels are deterministic; the density dispatch keeps CIFAR-scale
+//! probe campaigns fast without perturbing a single output bit.
+//! [`ConvBackend`] is not a kernel choice: it records whether the victim's
+//! software stack issues GEMM calls, which only the `gemm` observation
+//! channel reads.
 //!
 //! # Examples
 //!
@@ -44,7 +49,7 @@ pub mod sparse;
 pub mod tensor;
 
 pub use colspan::ColSpan;
-pub use conv::{BackendPolicy, ConvBackend};
+pub use conv::ConvBackend;
 pub use csc_conv::CscWeights;
 pub use im2col::{gemm_call_dims, GemmShape};
 pub use qtensor::{QTensor3, QTensor4, QuantParams};

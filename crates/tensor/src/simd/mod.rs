@@ -1,9 +1,9 @@
 //! Runtime-dispatched SIMD kernels for the convolution hot loops.
 //!
-//! The three f32 conv backends (blocked GEMM, CSC register tile, direct
-//! loop nest) and the INT8 quantized path all bottom out in a handful of
-//! small kernels defined here. Each kernel has two implementations with
-//! *identical per-lane semantics*:
+//! The f32 conv kernels that [`crate::conv::conv2d`] picks by density
+//! (blocked GEMM, CSC register tile) and the INT8 quantized path all
+//! bottom out in a handful of small kernels defined here. Each kernel has
+//! two implementations with *identical per-lane semantics*:
 //!
 //! * a portable scalar fallback ([`scalar`]) written over the explicit
 //!   lane types [`scalar::f32x8`] / [`scalar::i32x8`], and
@@ -190,31 +190,6 @@ pub fn gemm_micro(
     scalar::gemm_micro(kcb, a_strip, b_strip, c, ldc, mrb, nrb);
 }
 
-/// Masked accumulate over a contiguous run of output elements:
-/// `acc[i] += w * x[i]` for every lane where `x[i] != 0.0`, preserving
-/// the accumulator bits elsewhere — the vectorized form of the kernels'
-/// activation zero-skipping. `acc` and `x` must have equal length.
-#[inline]
-pub fn axpy_nonzero(acc: &mut [f32], x: &[f32], w: f32) {
-    assert_eq!(acc.len(), x.len(), "axpy operand length mismatch");
-    #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-    if mode() == MODE_VECTOR {
-        // SAFETY: ISA presence verified before MODE_VECTOR was stored;
-        // equal slice lengths asserted above bound every pointer access.
-        #[cfg(target_arch = "x86_64")]
-        unsafe {
-            x86::axpy_nonzero_avx2(acc, x, w)
-        };
-        // SAFETY: as above.
-        #[cfg(target_arch = "aarch64")]
-        unsafe {
-            neon::axpy_nonzero_neon(acc, x, w)
-        };
-        return;
-    }
-    scalar::axpy_nonzero(acc, x, w);
-}
-
 /// One tap's whole filter list against a register tile: for every
 /// `(k, w)` in `rows.zip(weights)`, `tile[k * L + i] += w * x[i]` for each
 /// lane where `x[i] != 0.0` (accumulator bits preserved elsewhere), with
@@ -320,40 +295,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn axpy_paths_bit_identical_and_preserve_zero_lanes() {
-        for n in [0usize, 1, 7, 8, 9, 31, 64] {
-            let x = random(n, n as u64);
-            let acc0: Vec<f32> = random(n, 100 + n as u64);
-            let mut outs: Vec<Vec<f32>> = Vec::new();
-            both_paths(|_| {
-                let mut acc = acc0.clone();
-                axpy_nonzero(&mut acc, &x, 0.75);
-                outs.push(acc);
-            });
-            let bits = |v: &Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&outs[0]), bits(&outs[1]), "n={n}");
-            // Lanes with a zero activation keep their exact bits.
-            for i in 0..n {
-                if x[i] == 0.0 {
-                    assert_eq!(outs[1][i].to_bits(), acc0[i].to_bits());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn axpy_preserves_negative_zero_accumulator() {
-        let mut acc = vec![-0.0f32; 8];
-        let x = vec![0.0f32; 8];
-        both_paths(|_| {
-            axpy_nonzero(&mut acc, &x, 1.0);
-            for a in &acc {
-                assert_eq!(a.to_bits(), (-0.0f32).to_bits(), "-0.0 flipped");
-            }
-        });
     }
 
     #[test]

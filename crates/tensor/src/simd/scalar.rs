@@ -175,7 +175,8 @@ pub fn gemm_micro(
 
 /// Scalar masked accumulate: `acc[i] += w * x[i]` where `x[i] != 0.0`.
 /// The lane-typed body and the remainder loop evaluate the exact same
-/// per-element expression.
+/// per-element expression. The per-row oracle of [`axpy_nonzero_rows`]'s
+/// tests.
 pub fn axpy_nonzero(acc: &mut [f32], x: &[f32], w: f32) {
     let wv = f32x8::splat(w);
     let mut chunks = acc.chunks_exact_mut(8);

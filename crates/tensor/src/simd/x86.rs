@@ -55,39 +55,6 @@ pub unsafe fn gemm_micro_avx2(
     }
 }
 
-/// Masked accumulate: `acc[i] += w * x[i]` where `x[i] != 0.0`.
-///
-/// # Safety
-///
-/// Requires AVX2. `acc` and `x` must have equal length.
-#[target_feature(enable = "avx2")]
-pub unsafe fn axpy_nonzero_avx2(acc: &mut [f32], x: &[f32], w: f32) {
-    // SAFETY: caller guarantees equal lengths; `i + 8 <= n` bounds every
-    // vector access and the remainder loop uses checked indices below n.
-    unsafe {
-        let n = acc.len();
-        let wv = _mm256_set1_ps(w);
-        let zero = _mm256_setzero_ps();
-        let mut i = 0;
-        while i + 8 <= n {
-            let xv = _mm256_loadu_ps(x.as_ptr().add(i));
-            let av = _mm256_loadu_ps(acc.as_ptr().add(i));
-            let sum = _mm256_add_ps(av, _mm256_mul_ps(wv, xv));
-            // NEQ_UQ is true for NaN lanes, matching scalar `x != 0.0`.
-            let mask = _mm256_cmp_ps::<_CMP_NEQ_UQ>(xv, zero);
-            _mm256_storeu_ps(acc.as_mut_ptr().add(i), _mm256_blendv_ps(av, sum, mask));
-            i += 8;
-        }
-        while i < n {
-            let xi = *x.get_unchecked(i);
-            if xi != 0.0 {
-                *acc.get_unchecked_mut(i) += w * xi;
-            }
-            i += 1;
-        }
-    }
-}
-
 /// Tap-list accumulate into a register tile: for every `(k, w)` pair,
 /// `tile[k * L + i] += w * x[i]` where `x[i] != 0.0`, with `L = x.len()`.
 /// The lanes are walked in groups of up to four 8-lane chunks: a group's

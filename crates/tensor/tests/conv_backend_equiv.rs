@@ -1,23 +1,29 @@
-//! Differential tests between the `Direct`, `Im2colGemm`, and `SparseCsc`
-//! convolution backends: random shapes, strides, paddings, bias on/off, and
-//! pruned weights, plus the edge cases that historically break im2col
-//! implementations (1x1 kernels, stride > kernel, inputs smaller than the
-//! kernel, zero-dimensional `Valid` outputs).
+//! Differential tests between `conv2d`'s density dispatch, each of the
+//! kernels it dispatches to, and the `conv2d_reference` loop nest: random
+//! shapes, strides, paddings, bias on/off, and pruned weights, plus the
+//! edge cases that historically break im2col implementations (1x1 kernels,
+//! stride > kernel, inputs smaller than the kernel, zero-dimensional
+//! `Valid` outputs).
 //!
-//! `SparseCsc` replays Direct's tap order exactly, so it is held to the
-//! stronger standard: bit-identical to `Direct` on *every* case here, not
-//! just the integer-valued ones.
+//! The im2col GEMM and the CSC tile are called directly as well as through
+//! the dispatch, so each kernel is checked on inputs the dispatch would not
+//! send it. The dispatch and the CSC tile replay the reference's tap order
+//! exactly and are held to bit-identity on every case here.
 
 use hd_tensor::conv::{
-    conv2d, conv2d_weight_grad, conv_out_dim, BackendPolicy, Conv2dCfg, ConvBackend, Padding,
+    conv2d, conv2d_reference, conv2d_weight_grad, conv2d_weight_grad_reference, conv_out_dim,
+    Conv2dCfg, Padding,
 };
-use hd_tensor::{Tensor3, Tensor4};
+use hd_tensor::csc_conv::conv2d_sparse_csc;
+use hd_tensor::im2col::conv2d_im2col_gemm;
+use hd_tensor::{simd, Tensor3, Tensor4};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-/// Dense strictly-positive tensor: keeps `conv2d` off the shared
-/// sparse-input CSC kernel so both dense backends actually run.
+/// Dense strictly-positive tensor: keeps `conv2d` off the sparse-input
+/// CSC kernel.
 fn dense_tensor(seed: u64, c: usize, h: usize, w: usize) -> Tensor3 {
     let mut t = Tensor3::zeros(c, h, w);
     let mut rng = StdRng::seed_from_u64(seed);
@@ -31,48 +37,62 @@ fn random_weights(seed: u64, k: usize, c: usize, kernel: usize) -> Tensor4 {
     w
 }
 
-/// Runs the same convolution on all three backends. The CSC result must be
-/// bit-identical to Direct (same tap order by construction); the pair
-/// returned is left for the caller's Direct-vs-GEMM tolerance check.
-fn run_both(
+fn assert_bits(want: &Tensor3, got: &Tensor3, what: &str) {
+    assert_eq!(want.shape(), got.shape(), "{what}: shapes diverge");
+    for (a, b) in want.data().iter().zip(got.data()) {
+        assert!(
+            a.to_bits() == b.to_bits(),
+            "{what} not bit-identical to the reference: {a} vs {b}"
+        );
+    }
+}
+
+/// Runs the same convolution through the dispatch, the CSC tile and the
+/// im2col GEMM. The dispatch and the CSC tile must be bit-identical to the
+/// reference; the pair returned is left for the caller's reference-vs-GEMM
+/// check.
+fn run_kernels(
     x: &Tensor3,
     w: &Tensor4,
     bias: Option<&[f32]>,
     stride: usize,
     padding: Padding,
 ) -> (Tensor3, Tensor3) {
-    let run = |backend| {
-        conv2d(
-            x,
-            w,
-            bias,
-            &Conv2dCfg::new(stride, padding).with_backend(backend),
-        )
-    };
-    let direct = run(ConvBackend::Direct);
-    let gemm = run(ConvBackend::Im2colGemm);
-    let sparse = run(ConvBackend::SparseCsc);
-    assert_eq!(direct.shape(), gemm.shape(), "backend shapes diverge");
-    assert_eq!(direct.shape(), sparse.shape(), "backend shapes diverge");
-    for (a, b) in direct.data().iter().zip(sparse.data()) {
-        assert!(
-            a.to_bits() == b.to_bits(),
-            "SparseCsc not bit-identical to Direct: {a} vs {b}"
-        );
-    }
-    (direct, gemm)
+    let cfg = Conv2dCfg::new(stride, padding);
+    let reference = conv2d_reference(x, w, bias, &cfg);
+    assert_bits(&reference, &conv2d(x, w, bias, &cfg), "conv2d");
+    assert_bits(
+        &reference,
+        &conv2d_sparse_csc(x, w, bias, &cfg),
+        "the CSC tile",
+    );
+    let gemm = conv2d_im2col_gemm(x, w, bias, &cfg);
+    assert_eq!(reference.shape(), gemm.shape(), "GEMM shape diverges");
+    (reference, gemm)
 }
 
-fn assert_close(direct: &[f32], gemm: &[f32]) {
-    for (a, b) in direct.iter().zip(gemm) {
+fn assert_close(want: &[f32], gemm: &[f32]) {
+    for (a, b) in want.iter().zip(gemm) {
         assert!((a - b).abs() <= 1e-4 * (1.0 + a.abs()), "{a} vs {b}");
+    }
+}
+
+/// Zeroes all but exactly `nnz` entries of `values`, chosen at random;
+/// the survivors get random nonzero integers in `-3..=3`.
+fn with_exact_nnz(values: &mut [f32], nnz: usize, rng: &mut StdRng) {
+    let mut idx: Vec<usize> = (0..values.len()).collect();
+    idx.shuffle(rng);
+    values.fill(0.0);
+    for &i in &idx[..nnz] {
+        let v = rng.gen_range(1u32..4) as f32;
+        values[i] = if rng.gen_bool(0.5) { v } else { -v };
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Random shape/stride/padding/bias sweep: outputs agree within 1e-4.
+    /// Random shape/stride/padding/bias sweep: the GEMM agrees within 1e-4.
     #[test]
     fn backends_agree_on_random_convs(
         seed in 0u64..10_000,
@@ -91,8 +111,8 @@ proptest! {
             let mut rng = StdRng::seed_from_u64(seed ^ 0xB1A5);
             (0..out_c).map(|_| rng.gen_range(-1.0..1.0)).collect()
         });
-        let (direct, gemm) = run_both(&x, &wt, bias.as_deref(), stride, padding);
-        assert_close(direct.data(), gemm.data());
+        let (want, gemm) = run_kernels(&x, &wt, bias.as_deref(), stride, padding);
+        assert_close(want.data(), gemm.data());
     }
 
     /// Pruned weights (random per-element and whole-filter pruning):
@@ -117,21 +137,31 @@ proptest! {
         for i in 0..per_filter {
             wt.data_mut()[2 * per_filter + i] = 0.0;
         }
-        let (direct, gemm) = run_both(&x, &wt, Some(&[0.5, -0.5, 0.25, 0.0, 1.0, -1.0]), stride, Padding::Same);
-        assert_close(direct.data(), gemm.data());
+        let (want, gemm) = run_kernels(&x, &wt, Some(&[0.5, -0.5, 0.25, 0.0, 1.0, -1.0]), stride, Padding::Same);
+        assert_close(want.data(), gemm.data());
     }
 
     /// Integer-valued inputs and weights: every product and sum is exactly
-    /// representable, so the backends must agree bit-for-bit.
+    /// representable, so the kernels must agree bit-for-bit.
+    ///
+    /// The cases also pin the density cutoffs, the one selection `conv2d`
+    /// makes: `input_cut` / `weight_cut` of `Some(d)` leave exactly
+    /// `len / 8 + d` nonzeros (`len` is a multiple of 8, so `d = -1` is
+    /// the last sparse count and `d = 0` the first dense one). `conv2d`
+    /// must equal the reference bit for bit on both sides of each cutoff,
+    /// on both SIMD dispatch modes, with a `-0.0` bias entry that a lane
+    /// receiving no nonzero product must keep.
     #[test]
     fn backends_exact_on_integer_inputs(
         seed in 0u64..10_000,
         kernel in 1usize..4,
         stride in 1usize..3,
         padding in prop_oneof![Just(Padding::Same), Just(Padding::Valid)],
+        input_cut in prop_oneof![Just(None), Just(Some(-1isize)), Just(Some(0isize)), Just(Some(1isize))],
+        weight_cut in prop_oneof![Just(None), Just(Some(-1isize)), Just(Some(0isize)), Just(Some(1isize))],
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut x = Tensor3::zeros(2, 7, 7);
+        let mut x = Tensor3::zeros(2, 8, 8);
         for v in x.data_mut().iter_mut() {
             *v = rng.gen_range(1u32..5) as f32; // dense, integral
         }
@@ -139,17 +169,31 @@ proptest! {
         for v in wt.data_mut().iter_mut() {
             *v = rng.gen_range(0u32..5) as f32 - 2.0; // integral, with zeros
         }
-        let bias = [1.0f32, -2.0, 0.0, 3.0];
-        let (direct, gemm) = run_both(&x, &wt, Some(&bias), stride, padding);
-        for (a, b) in direct.data().iter().zip(gemm.data()) {
+        if let Some(d) = input_cut {
+            let nnz = x.data().len() / 8;
+            with_exact_nnz(x.data_mut(), nnz.saturating_add_signed(d), &mut rng);
+        }
+        if let Some(d) = weight_cut {
+            let nnz = wt.len() / 8;
+            with_exact_nnz(wt.data_mut(), nnz.saturating_add_signed(d), &mut rng);
+        }
+        let bias = [1.0f32, -2.0, -0.0, 3.0];
+        let (want, gemm) = run_kernels(&x, &wt, Some(&bias), stride, padding);
+        for (a, b) in want.data().iter().zip(gemm.data()) {
             prop_assert!(a.to_bits() == b.to_bits(), "{a} vs {b} not exact");
         }
+        let cfg = Conv2dCfg::new(stride, padding);
+        let detected = simd::enabled();
+        simd::set_enabled(false);
+        let scalar = conv2d(&x, &wt, Some(&bias), &cfg);
+        simd::set_enabled(detected);
+        assert_bits(&want, &scalar, "conv2d on the scalar path");
     }
 
     /// Stripe inputs (one nonzero column, the prober's probe shape) with
-    /// pruned weights: the regime the CSC backend exists for. The auto-routed
-    /// CSC result must match the dense reference loop bit-for-bit, and agree
-    /// with a GEMM run whose policy pins it onto the dense path.
+    /// pruned weights: the regime the CSC tile exists for. The dispatched
+    /// result must match the dense reference loop bit-for-bit, and agree
+    /// with the GEMM called directly on the same sparse input.
     #[test]
     fn backends_agree_on_stripe_inputs_and_pruned_weights(
         seed in 0u64..10_000,
@@ -175,28 +219,15 @@ proptest! {
         let bias: Option<Vec<f32>> = (with_bias == 1).then(|| {
             (0..6).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
         });
-        // Sparse stripe ⇒ the default cfg auto-routes onto the CSC kernel.
-        let fast = conv2d(&x, &wt, bias.as_deref(), &Conv2dCfg::new(stride, Padding::Same));
-        let reference = hd_tensor::conv::conv2d_reference(
-            &x, &wt, bias.as_deref(), &Conv2dCfg::new(stride, Padding::Same));
-        prop_assert_eq!(fast.data(), reference.data(), "CSC must match the reference bit-for-bit");
-        // Zeroed thresholds pin GEMM onto the dense path despite the sparse input.
-        let dense_only = BackendPolicy {
-            input_density_threshold: 0,
-            weight_density_threshold: 0,
-            auto_sparse: false,
-        };
-        let gemm = conv2d(&x, &wt, bias.as_deref(),
-            &Conv2dCfg::new(stride, Padding::Same)
-                .with_backend(ConvBackend::Im2colGemm)
-                .with_policy(dense_only));
+        // A sparse stripe: conv2d dispatches it onto the CSC tile.
+        let (reference, gemm) = run_kernels(&x, &wt, bias.as_deref(), stride, Padding::Same);
         assert_close(reference.data(), gemm.data());
     }
 
     /// N:M-patterned weights (per-M-group along the input-channel axis at
     /// every fixed (k, r, s), keep the top-N magnitudes): the structured
-    /// zero pattern the sparse-victim matrix deploys. All three backends
-    /// must agree, and SparseCsc stays bit-identical to Direct.
+    /// zero pattern the sparse-victim matrix deploys. Every kernel must
+    /// agree with the reference.
     #[test]
     fn backends_agree_on_nm_patterned_weights(
         seed in 0u64..10_000,
@@ -233,13 +264,13 @@ proptest! {
             let mut rng = StdRng::seed_from_u64(seed ^ 0xB1A5);
             (0..out_c).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
         });
-        let (direct, gemm) = run_both(&x, &wt, bias.as_deref(), stride, Padding::Same);
-        assert_close(direct.data(), gemm.data());
+        let (want, gemm) = run_kernels(&x, &wt, bias.as_deref(), stride, Padding::Same);
+        assert_close(want.data(), gemm.data());
     }
 
     /// Channel-removed weights (the structured-pruning shapes): slicing
     /// output filters with `select_k` and input channels with `select_c`
-    /// yields odd K/C combinations the backends rarely see; they must
+    /// yields odd K/C combinations the kernels rarely see; they must
     /// agree on all of them, with the sliced input channels removed from
     /// the image too.
     #[test]
@@ -278,12 +309,11 @@ proptest! {
                 dst += 1;
             }
         }
-        let (direct, gemm) = run_both(&x, &wt, None, stride, Padding::Same);
-        assert_close(direct.data(), gemm.data());
+        let (want, gemm) = run_kernels(&x, &wt, None, stride, Padding::Same);
+        assert_close(want.data(), gemm.data());
     }
 
-    /// The weight-gradient GEMM agrees with the direct loop; `SparseCsc`
-    /// dispatches weight gradients to the GEMM path bit-for-bit.
+    /// The weight-gradient GEMM agrees with the reference loop.
     #[test]
     fn weight_grad_backends_agree(
         seed in 0u64..10_000,
@@ -295,14 +325,10 @@ proptest! {
         let oh = conv_out_dim(8, kernel, stride, padding);
         if oh > 0 {
             let g = dense_tensor(seed ^ 0x6AD, 3, oh, oh);
-            let direct = conv2d_weight_grad(&g, &x, (kernel, kernel),
-                &Conv2dCfg::new(stride, padding).with_backend(ConvBackend::Direct));
-            let gemm = conv2d_weight_grad(&g, &x, (kernel, kernel),
-                &Conv2dCfg::new(stride, padding).with_backend(ConvBackend::Im2colGemm));
-            let sparse = conv2d_weight_grad(&g, &x, (kernel, kernel),
-                &Conv2dCfg::new(stride, padding).with_backend(ConvBackend::SparseCsc));
-            assert_close(direct.data(), gemm.data());
-            prop_assert_eq!(gemm.data(), sparse.data(), "SparseCsc grad must reuse the GEMM path");
+            let cfg = Conv2dCfg::new(stride, padding);
+            let want = conv2d_weight_grad_reference(&g, &x, (kernel, kernel), &cfg);
+            let gemm = conv2d_weight_grad(&g, &x, (kernel, kernel), &cfg);
+            assert_close(want.data(), gemm.data());
         }
     }
 }
@@ -315,8 +341,8 @@ fn one_by_one_kernel_all_strides() {
     let w = random_weights(2, 5, 3, 1);
     for stride in 1..=3 {
         for padding in [Padding::Same, Padding::Valid] {
-            let (direct, gemm) = run_both(&x, &w, None, stride, padding);
-            assert_close(direct.data(), gemm.data());
+            let (want, gemm) = run_kernels(&x, &w, None, stride, padding);
+            assert_close(want.data(), gemm.data());
         }
     }
 }
@@ -326,8 +352,8 @@ fn stride_larger_than_kernel() {
     let x = dense_tensor(3, 2, 9, 9);
     let w = random_weights(4, 3, 2, 2);
     for padding in [Padding::Same, Padding::Valid] {
-        let (direct, gemm) = run_both(&x, &w, Some(&[0.5, -0.5, 0.0]), 3, padding);
-        assert_close(direct.data(), gemm.data());
+        let (want, gemm) = run_kernels(&x, &w, Some(&[0.5, -0.5, 0.0]), 3, padding);
+        assert_close(want.data(), gemm.data());
     }
 }
 
@@ -336,9 +362,9 @@ fn input_smaller_than_kernel_same_padding() {
     // 2x2 input under a 5x5 kernel: every patch is mostly padding.
     let x = dense_tensor(5, 1, 2, 2);
     let w = random_weights(6, 2, 1, 5);
-    let (direct, gemm) = run_both(&x, &w, Some(&[1.0, 2.0]), 1, Padding::Same);
+    let (want, gemm) = run_kernels(&x, &w, Some(&[1.0, 2.0]), 1, Padding::Same);
     assert_eq!((gemm.h(), gemm.w()), (2, 2));
-    assert_close(direct.data(), gemm.data());
+    assert_close(want.data(), gemm.data());
 }
 
 #[test]
@@ -346,8 +372,8 @@ fn input_smaller_than_kernel_valid_is_empty() {
     // Valid padding cannot place the kernel at all: 0-dim output.
     let x = dense_tensor(7, 2, 3, 3);
     let w = random_weights(8, 3, 2, 4);
-    let (direct, gemm) = run_both(&x, &w, None, 1, Padding::Valid);
-    assert_eq!((direct.h(), direct.w()), (0, 0));
+    let (want, gemm) = run_kernels(&x, &w, None, 1, Padding::Valid);
+    assert_eq!((want.h(), want.w()), (0, 0));
     assert_eq!((gemm.h(), gemm.w()), (0, 0));
 }
 
@@ -356,7 +382,7 @@ fn single_pixel_output_valid() {
     // Kernel exactly covers the input: one output pixel.
     let x = dense_tensor(9, 2, 3, 3);
     let w = random_weights(10, 4, 2, 3);
-    let (direct, gemm) = run_both(&x, &w, Some(&[0.1, 0.2, 0.3, 0.4]), 1, Padding::Valid);
+    let (want, gemm) = run_kernels(&x, &w, Some(&[0.1, 0.2, 0.3, 0.4]), 1, Padding::Valid);
     assert_eq!((gemm.h(), gemm.w()), (1, 1));
-    assert_close(direct.data(), gemm.data());
+    assert_close(want.data(), gemm.data());
 }

@@ -8,8 +8,10 @@
 //! outputs bit-for-bit — on hosts without AVX2/NEON both runs take the
 //! scalar path and the tests degrade to self-consistency checks.
 
-use hd_tensor::conv::{conv2d, conv2d_reference, Conv2dCfg, ConvBackend, Padding};
+use hd_tensor::conv::{conv2d, conv2d_reference, Conv2dCfg, Padding};
+use hd_tensor::csc_conv::conv2d_sparse_csc;
 use hd_tensor::gemm::{gemm, GemmBlocking};
+use hd_tensor::im2col::conv2d_im2col_gemm;
 use hd_tensor::qconv::{qconv2d, qconv2d_reference, requantize, QConvParams};
 use hd_tensor::simd;
 use hd_tensor::{QTensor3, QTensor4, QuantParams, Tensor3, Tensor4};
@@ -146,10 +148,10 @@ proptest! {
         }
     }
 
-    /// Every convolution backend is bit-identical across dispatch modes on
-    /// random shapes, strides, and pruned weights. This covers the GEMM
-    /// micro-kernel (Im2colGemm), the CSC tile (`axpy_nonzero_rows`), and
-    /// the Direct inner loop (`axpy_nonzero`) in one sweep.
+    /// Every f32 conv kernel is bit-identical across dispatch modes on
+    /// random shapes, strides, and pruned weights: the GEMM micro-kernel
+    /// and the CSC tile (`axpy_nonzero_rows`), each called directly, and
+    /// `conv2d`'s density dispatch, in one sweep.
     #[test]
     fn conv_backends_bit_identical_across_simd_modes(
         seed in 0u64..10_000,
@@ -159,19 +161,16 @@ proptest! {
         kernel in prop_oneof![Just(1usize), Just(3usize), Just(5usize)],
         stride in 1usize..3,
         keep_percent in 10u32..80,
-        backend in prop_oneof![
-            Just(ConvBackend::Direct),
-            Just(ConvBackend::Im2colGemm),
-            Just(ConvBackend::SparseCsc),
-        ],
+        kernel_fn in 0usize..3,
     ) {
         let x = random_tensor3(seed, in_c, hw, hw);
         let w = pruned_weights(seed ^ 0x51D, out_c, in_c, kernel, keep_percent);
-        let cfg = Conv2dCfg::new(stride, Padding::Same).with_backend(backend);
-        let (vector, scalar) = both_paths(|| conv2d(&x, &w, None, &cfg));
+        let cfg = Conv2dCfg::new(stride, Padding::Same);
+        let run = [conv2d, conv2d_im2col_gemm, conv2d_sparse_csc][kernel_fn];
+        let (vector, scalar) = both_paths(|| run(&x, &w, None, &cfg));
         prop_assert_eq!(vector.shape(), scalar.shape());
         for (a, b) in vector.data().iter().zip(scalar.data()) {
-            prop_assert!(a.to_bits() == b.to_bits(), "{a} vs {b} diverge ({backend:?})");
+            prop_assert!(a.to_bits() == b.to_bits(), "{a} vs {b} diverge (kernel {kernel_fn})");
         }
     }
 
@@ -200,10 +199,10 @@ proptest! {
         }
         let w = pruned_weights(seed ^ 0xCA7, 6, 3, kernel, keep_percent);
         let bias = [-0.0, 0.5, -0.0, -1.0, 0.25, -0.0];
-        // Pinned: on narrow maps the stripe is too dense for the policy's
-        // automatic routing, and the dense backends do not mask zeros.
-        let cfg = Conv2dCfg::new(stride, Padding::Same).with_backend(ConvBackend::SparseCsc);
-        let (vector, scalar) = both_paths(|| conv2d(&x, &w, Some(&bias), &cfg));
+        // Called directly: on narrow maps the stripe is too dense for the
+        // dispatch to pick the CSC tile.
+        let cfg = Conv2dCfg::new(stride, Padding::Same);
+        let (vector, scalar) = both_paths(|| conv2d_sparse_csc(&x, &w, Some(&bias), &cfg));
         let reference = conv2d_reference(&x, &w, Some(&bias), &cfg);
         for ((a, b), r) in vector.data().iter().zip(scalar.data()).zip(reference.data()) {
             prop_assert!(a.to_bits() == b.to_bits(), "{a} vs {b} diverge on stripe");

@@ -6,7 +6,6 @@
 //!
 //! ```text
 //! -j, --parallelism N       prober worker threads (default: all cores)
-//! -b, --backend KIND        conv backend: direct | gemm | sparse
 //! -c, --channel KIND        observation channel: full | trace | timing | gemm
 //! -p, --prune MODE          victim pruning: unstructured | N:M (e.g. 2:4)
 //!                           | structured[:KEEP_FRAC]
@@ -24,7 +23,6 @@
 // Each example includes this module but uses a different subset of it.
 #![allow(dead_code)]
 
-use hd_tensor::ConvBackend;
 use huffduff_core::ChannelKind;
 use std::path::{Path, PathBuf};
 
@@ -33,8 +31,6 @@ use std::path::{Path, PathBuf};
 pub struct CliArgs {
     /// `-j N`: prober worker threads (`None` = all cores).
     pub parallelism: Option<usize>,
-    /// `-b KIND`: simulator conv backend (`None` = crate default).
-    pub backend: Option<ConvBackend>,
     /// `-c KIND`: the observation channel the attacker reads.
     pub channel: ChannelKind,
     /// `-p MODE`: how the victim is pruned before the attack.
@@ -152,11 +148,6 @@ pub fn prune_victim(
 }
 
 impl CliArgs {
-    /// The backend to use (explicit flag or the default).
-    pub fn backend_or_default(&self) -> ConvBackend {
-        self.backend.unwrap_or_default()
-    }
-
     /// The PE-array precision selected by `-q`.
     pub fn precision(&self) -> hd_accel::Precision {
         if self.quantized {
@@ -210,13 +201,6 @@ impl CliArgs {
                     }
                     args.parallelism = Some(n);
                 }
-                "-b" | "--backend" => {
-                    let v = value_for(flag)?;
-                    let backend = ConvBackend::parse(&v).ok_or_else(|| {
-                        format!("unknown backend {v:?} (expected direct, gemm, or sparse)")
-                    })?;
-                    args.backend = Some(backend);
-                }
                 "-c" | "--channel" => {
                     let v = value_for(flag)?;
                     args.channel = ChannelKind::parse(&v).ok_or_else(|| {
@@ -254,10 +238,8 @@ fn usage(example: &str) -> String {
          \n\
          options:\n\
          \x20 -j, --parallelism N   prober worker threads (default: all cores)\n\
-         \x20 -b, --backend KIND    conv backend: direct | gemm | sparse (default: gemm)\n\
          \x20 -c, --channel KIND    observation channel the attacker reads: full | trace |\n\
-         \x20                       timing | gemm (default: full; gemm needs the gemm\n\
-         \x20                       backend)\n\
+         \x20                       timing | gemm (default: full)\n\
          \x20 -p, --prune MODE      victim pruning: unstructured | N:M (e.g. 2:4) |\n\
          \x20                       structured[:KEEP_FRAC] (default: unstructured)\n\
          \x20 -o, --obs PATH        enable telemetry; write summary JSON to PATH and a\n\

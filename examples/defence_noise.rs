@@ -86,10 +86,7 @@ fn main() {
     };
     hd_dnn::prune::apply_sparsity_profile(&net, &mut params, &profile, 5);
 
-    let accel = AccelConfig::builder()
-        .conv_backend(args.backend_or_default())
-        .build()
-        .expect("valid accelerator config");
+    let accel = AccelConfig::eyeriss_v2();
 
     cli::obs_begin(&args);
     println!("noise(B)  probes  geometry-exact");

@@ -11,7 +11,6 @@
 //! ```text
 //! cargo run --release --example steal_resnet                 # all cores, GEMM
 //! cargo run --release --example steal_resnet -- -j 1         # serial baseline
-//! cargo run --release --example steal_resnet -- -b direct    # direct conv loop
 //! cargo run --release --example steal_resnet -- -o obs.json  # telemetry export
 //! cargo run --release --example steal_resnet -- -p 2:4       # N:M sparse victim
 //! cargo run --release --example steal_resnet -- -c trace     # volumes, no timing
@@ -25,11 +24,10 @@
 //! adds keep both operands on one channel set), so the attack reads the
 //! physically shrunken widths off the device.
 //!
-//! `-j N` caps the prober's worker threads and `-b` selects the simulator's
-//! convolution backend; any combination produces a bit-identical result
-//! (the executor and all backends are deterministic), only wall-clock
-//! changes. `-o obs.json` records hd-obs telemetry into JSON plus a Chrome
-//! trace without affecting the outcome.
+//! `-j N` caps the prober's worker threads; any value produces a
+//! bit-identical result (the executor and every conv kernel are
+//! deterministic), only wall-clock changes. `-o obs.json` records hd-obs
+//! telemetry into JSON plus a Chrome trace without affecting the outcome.
 
 #[path = "common/cli.rs"]
 mod cli;
@@ -50,9 +48,7 @@ fn main() {
         net.sparse_weight_count(&params)
     );
 
-    let backend = args.backend_or_default();
     let accel = AccelConfig::builder()
-        .conv_backend(backend)
         .precision(args.precision())
         .build()
         .expect("valid accelerator config");
@@ -71,11 +67,10 @@ fn main() {
         .build()
         .expect("valid attack config");
     println!(
-        "prober workers: {} ({} probe inferences fan out per family), conv backend: {}, \
+        "prober workers: {} ({} probe inferences fan out per family), \
          observation channel: {}",
         cfg.prober.effective_parallelism(cfg.prober.shifts),
         cfg.prober.shifts,
-        backend,
         args.channel
     );
 

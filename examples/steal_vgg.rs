@@ -8,7 +8,6 @@
 //! ```text
 //! cargo run --release --example steal_vgg                   # all cores, GEMM
 //! cargo run --release --example steal_vgg -- -j 1           # serial baseline
-//! cargo run --release --example steal_vgg -- -b direct      # direct conv loop
 //! cargo run --release --example steal_vgg -- -o obs.json    # telemetry export
 //! cargo run --release --example steal_vgg -- -p 2:4         # N:M sparse victim
 //! cargo run --release --example steal_vgg -- -p structured  # channel-removed victim
@@ -19,21 +18,21 @@
 //! `-c` restricts what the attacker observes: `full` (the paper's trace +
 //! timing channel), `trace` (volumes only, no timestamps), `timing`
 //! (encode windows only), or `gemm` (GEMM call dimensions, the
-//! Cache-Telepathy threat model — requires `-b gemm`). Restricted channels
-//! recover less: the report says which stages degraded.
+//! Cache-Telepathy threat model). Restricted channels recover less: the
+//! report says which stages degraded.
 //!
 //! `-p` selects how the victim was pruned: `unstructured` (the paper's
 //! magnitude profile), `N:M` fine-grained sparsity, or `structured[:FRAC]`
 //! channel removal — the latter physically shrinks layer shapes, so the
 //! attack recovers the pruned widths, not the textbook VGG-S ones.
 //!
-//! `-j N` caps the prober's worker threads and `-b` selects the simulator's
-//! convolution backend; any combination produces a bit-identical result
-//! (the executor and all backends are deterministic), only wall-clock
-//! changes. `-o obs.json` additionally records hd-obs telemetry — DRAM
-//! bytes by transfer type, probe counts, cache hits, per-layer spans — and
-//! writes it as JSON plus a Chrome trace (`obs.trace.json`, loadable in
-//! `chrome://tracing`); telemetry never changes the attack outcome either.
+//! `-j N` caps the prober's worker threads; any value produces a
+//! bit-identical result (the executor and every conv kernel are
+//! deterministic), only wall-clock changes. `-o obs.json` additionally
+//! records hd-obs telemetry — DRAM bytes by transfer type, probe counts,
+//! cache hits, per-layer spans — and writes it as JSON plus a Chrome trace
+//! (`obs.trace.json`, loadable in `chrome://tracing`); telemetry never
+//! changes the attack outcome either.
 
 #[path = "common/cli.rs"]
 mod cli;
@@ -54,9 +53,7 @@ fn main() {
         net.sparse_weight_count(&params)
     );
 
-    let backend = args.backend_or_default();
     let accel = AccelConfig::builder()
-        .conv_backend(backend)
         .precision(args.precision())
         .build()
         .expect("valid accelerator config");
@@ -75,11 +72,10 @@ fn main() {
         .build()
         .expect("valid attack config");
     println!(
-        "prober workers: {} ({} probe inferences fan out per family), conv backend: {}, \
+        "prober workers: {} ({} probe inferences fan out per family), \
          observation channel: {}",
         cfg.prober.effective_parallelism(cfg.prober.shifts),
         cfg.prober.shifts,
-        backend,
         args.channel
     );
 
