@@ -51,7 +51,8 @@ impl Model {
 /// robustness matrix probes.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum PruneMode {
-    /// Per-layer magnitude pruning to a sparsity profile (paper default).
+    /// A random mask at [`mini_profile`]'s per-layer densities
+    /// (`apply_sparsity_profile`); the default preset.
     Unstructured,
     /// N:M fine-grained sparsity along the input-channel axis.
     Nm {

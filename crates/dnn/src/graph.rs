@@ -674,9 +674,8 @@ impl Params {
                 Op::Linear { out_features, .. } => {
                     let in_features = net.value_shape(node.inputs[0]).len();
                     let std = (2.0 / in_features as f32).sqrt();
-                    let w = (0..out_features * in_features)
-                        .map(|_| hd_tensor::tensor::gaussian(&mut rng) * std)
-                        .collect();
+                    let mut w = vec![0.0; out_features * in_features];
+                    hd_tensor::tensor::fill_gaussian(&mut rng, &mut w, std);
                     let b = vec![0.0; *out_features];
                     Some(LayerParams::Linear {
                         w,

@@ -27,8 +27,7 @@ use crate::graph::{LayerParams, Network, NodeId, Params};
 use crate::train::{train, TrainConfig};
 use hd_tensor::Tensor3;
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{Rng, RngCore, SeedableRng};
 
 pub mod restructure;
 
@@ -129,9 +128,8 @@ pub fn magnitude_prune_global(
     if all.is_empty() {
         return Mask::ones(net, params);
     }
-    all.sort_by(|a, b| a.total_cmp(b));
-    let cut_idx = ((all.len() as f64) * sparsity) as usize;
-    let threshold = all[cut_idx.min(all.len() - 1)];
+    let cut_idx = (((all.len() as f64) * sparsity) as usize).min(all.len() - 1);
+    let (_, &mut threshold, _) = all.select_nth_unstable_by(cut_idx, |a, b| a.total_cmp(b));
 
     let mut masks = vec![None; net.len()];
     #[allow(clippy::needless_range_loop)] // index-parallel numeric kernel
@@ -143,10 +141,8 @@ pub fn magnitude_prune_global(
         let kept = keep.iter().filter(|&&k| k).count();
         if kept < min_layer_keep.min(w.len()) {
             // Re-rank within the layer to preserve the floor.
-            let mut idx: Vec<usize> = (0..w.len()).collect();
-            idx.sort_by(|&a, &b| w[b].abs().total_cmp(&w[a].abs()));
             keep = vec![false; w.len()];
-            for &i in idx.iter().take(min_layer_keep.min(w.len())) {
+            for i in first_by_magnitude(w, min_layer_keep, true) {
                 keep[i] = true;
             }
         }
@@ -158,14 +154,34 @@ pub fn magnitude_prune_global(
 /// Per-layer magnitude pruning to an exact per-layer sparsity.
 pub fn magnitude_prune_layer(params: &Params, id: NodeId, sparsity: f64) -> Option<Vec<bool>> {
     let w = weight_slice(params, id)?;
-    let mut idx: Vec<usize> = (0..w.len()).collect();
-    idx.sort_by(|&a, &b| w[a].abs().total_cmp(&w[b].abs()));
     let prune_n = ((w.len() as f64) * sparsity).round() as usize;
     let mut keep = vec![true; w.len()];
-    for &i in idx.iter().take(prune_n.min(w.len())) {
+    for i in first_by_magnitude(w, prune_n, false) {
         keep[i] = false;
     }
     Some(keep)
+}
+
+/// The first `n` indices of `w` ranked by `|w|` (descending when
+/// `largest`), ties toward the lower index: the set a stable sort of
+/// `0..w.len()` by `|w|` puts first. The key is a total order, so
+/// selecting the `n`-th element picks exactly that set without sorting.
+fn first_by_magnitude(w: &[f32], n: usize, largest: bool) -> Vec<usize> {
+    let mut idx: Vec<usize> = (0..w.len()).collect();
+    let n = n.min(idx.len());
+    if n > 0 && n < idx.len() {
+        idx.select_nth_unstable_by(n - 1, |&a, &b| {
+            let by_magnitude = w[a].abs().total_cmp(&w[b].abs());
+            let by_magnitude = if largest {
+                by_magnitude.reverse()
+            } else {
+                by_magnitude
+            };
+            by_magnitude.then(a.cmp(&b))
+        });
+    }
+    idx.truncate(n);
+    idx
 }
 
 /// A per-layer target-sparsity profile.
@@ -246,7 +262,8 @@ pub fn paper_profile(net: &Network) -> SparsityProfile {
 }
 
 /// Applies a sparsity profile with *random* masks (structure-only pruning
-/// for full-size probing victims). Deterministic in `seed`.
+/// for full-size probing victims). Deterministic in `seed`: one stream
+/// draws every layer's mask in profile order ([`random_keep_mask`]).
 pub fn apply_sparsity_profile(
     net: &Network,
     params: &mut Params,
@@ -259,19 +276,46 @@ pub fn apply_sparsity_profile(
         let Some(w) = weight_slice(params, id) else {
             continue;
         };
-        let len = w.len();
-        let prune_n = ((len as f64) * sparsity).round() as usize;
-        let mut keep = vec![true; len];
-        let mut idx: Vec<usize> = (0..len).collect();
-        idx.shuffle(&mut rng);
-        for &i in idx.iter().take(prune_n.min(len)) {
-            keep[i] = false;
-        }
-        masks[id] = Some(keep);
+        let prune_n = ((w.len() as f64) * sparsity).round() as usize;
+        masks[id] = Some(random_keep_mask(w.len(), prune_n, &mut rng));
     }
     let mask = Mask { masks };
     mask.apply(params);
     mask
+}
+
+/// A uniformly random keep-mask over `len` slots with `prune_n` pruned:
+/// exactly the mask of shuffling `0..len` (the vendored backward
+/// Fisher–Yates) and pruning the slots the first `prune_n` positions
+/// hold, with `rng` left where that shuffle leaves it.
+///
+/// Step `i` of that shuffle (`i = len - 1` down to `1`) swaps position
+/// `i` with a uniform `j <= i` and never touches position `i` again. The
+/// kept positions `prune_n..len` are therefore final after the first
+/// `len - prune_n` steps, and only those steps run; the `prune_n - 1`
+/// later steps would only permute pruned slots, so each is one bare
+/// `next_u64`. The cost is one `u32` per slot plus a draw and swap per
+/// kept slot.
+///
+/// # Panics
+///
+/// Panics if `len` exceeds `u32::MAX`.
+pub fn random_keep_mask(len: usize, prune_n: usize, rng: &mut StdRng) -> Vec<bool> {
+    // hd-lint: allow(no-panic) -- a layer of 2^32 weights (16 GiB of f32) cannot be built
+    let slots = u32::try_from(len).expect("layer larger than u32::MAX slots");
+    let mut idx: Vec<u32> = (0..slots).collect();
+    let first_kept = prune_n.clamp(1, len.max(1));
+    for i in (first_kept..len).rev() {
+        idx.swap(i, rng.gen_range(0..=i));
+    }
+    for _ in 1..first_kept {
+        rng.next_u64();
+    }
+    let mut keep = vec![false; len];
+    for &slot in &idx[prune_n.min(len)..] {
+        keep[slot as usize] = true;
+    }
+    keep
 }
 
 /// Applies a sparsity profile by *magnitude* (keeps each layer's largest
@@ -293,12 +337,16 @@ pub fn magnitude_prune_profile(
 }
 
 /// Marks the top-`n` magnitudes of one `M`-group as kept. `group` holds
-/// flat indices into `w`; ties break toward the lower index so the mask is
-/// a pure function of the weights.
-fn nm_keep_group(w: &[f32], group: &[usize], n: usize, keep: &mut [bool]) {
-    let mut order: Vec<usize> = group.to_vec();
-    order.sort_by(|&a, &b| w[b].abs().total_cmp(&w[a].abs()).then(a.cmp(&b)));
-    for &i in order.iter().take(n.min(group.len())) {
+/// flat indices into `w` and is reordered in place; ties break toward the
+/// lower index so the mask is a pure function of the weights.
+fn nm_keep_group(w: &[f32], group: &mut [usize], n: usize, keep: &mut [bool]) {
+    let n = n.min(group.len());
+    if n < group.len() {
+        group.select_nth_unstable_by(n, |&a, &b| {
+            w[b].abs().total_cmp(&w[a].abs()).then(a.cmp(&b))
+        });
+    }
+    for &i in &group[..n] {
         keep[i] = true;
     }
 }
@@ -333,7 +381,7 @@ pub fn nm_mask(net: &Network, params: &Params, n: usize, m: usize) -> Mask {
                                 for c in c0..(c0 + m).min(w.c()) {
                                     group.push(w.index(k, c, r, s));
                                 }
-                                nm_keep_group(w.data(), &group, n, &mut keep);
+                                nm_keep_group(w.data(), &mut group, n, &mut keep);
                             }
                         }
                     }
@@ -354,7 +402,7 @@ pub fn nm_mask(net: &Network, params: &Params, n: usize, m: usize) -> Mask {
                         for i in i0..(i0 + m).min(in_f) {
                             group.push(row * in_f + i);
                         }
-                        nm_keep_group(w, &group, n, &mut keep);
+                        nm_keep_group(w, &mut group, n, &mut keep);
                     }
                 }
                 masks[id] = Some(keep);

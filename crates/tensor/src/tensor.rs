@@ -1,8 +1,11 @@
 //! Dense tensor types.
 
 use crate::shape::Shape3;
-use rand::Rng;
+use hd_pool::WorkerPool;
+use rand::rngs::StdRng;
+use rand::{Rng, RngCore};
 use std::fmt;
+use std::sync::Mutex;
 
 /// A single-sample activation tensor in `C x H x W` (channel-major) layout.
 ///
@@ -206,12 +209,10 @@ impl Tensor4 {
     }
 
     /// He-normal initialization (appropriate for ReLU networks).
-    pub fn init_he<R: Rng>(&mut self, rng: &mut R) {
+    pub fn init_he(&mut self, rng: &mut StdRng) {
         let fan_in = (self.c * self.r * self.s).max(1);
         let std = (2.0 / fan_in as f32).sqrt();
-        for v in &mut self.data {
-            *v = gaussian(rng) * std;
-        }
+        fill_gaussian(rng, &mut self.data, std);
     }
 
     /// Output channel count.
@@ -359,14 +360,56 @@ impl fmt::Debug for Tensor4 {
 }
 
 /// Samples a standard normal via Box-Muller from any [`Rng`].
+///
+/// A pure function of exactly two `next_u64` draws, one per `gen_range`,
+/// which is what lets [`fill_gaussian`] split a stream into chunks. The
+/// result is always finite: `u1` lies in `[f32::EPSILON, 1)`, so
+/// `-2 ln u1 <= 31.9`, and the cosine is bounded.
 pub fn gaussian<R: Rng>(rng: &mut R) -> f32 {
-    loop {
-        let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
-        let u2: f32 = rng.gen_range(0.0..1.0);
-        let g = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos();
-        if g.is_finite() {
-            return g;
-        }
+    let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
+    let u2: f32 = rng.gen_range(0.0..1.0);
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
+}
+
+/// Elements per task of a pooled [`fill_gaussian`]; a slice of at most
+/// one chunk is filled inline.
+const GAUSSIAN_CHUNK: usize = 1 << 16;
+
+/// Sets `out[i] = gaussian(rng) * std` in index order, bit-identical to
+/// the serial loop, and leaves `rng` where that loop would.
+///
+/// A slice longer than one chunk is filled across
+/// [`WorkerPool::global`]. Every sample takes exactly two draws, so the
+/// caller first walks the stream with bare `next_u64` calls, saving a
+/// clone of `rng` at the start of each chunk; each task then fills its
+/// chunk from its saved clone.
+pub fn fill_gaussian(rng: &mut StdRng, out: &mut [f32], std: f32) {
+    if out.len() <= GAUSSIAN_CHUNK {
+        fill_gaussian_serial(rng, out, std);
+        return;
+    }
+    let starts: Vec<StdRng> = out
+        .chunks(GAUSSIAN_CHUNK)
+        .map(|chunk| {
+            let start = rng.clone();
+            for _ in 0..2 * chunk.len() {
+                rng.next_u64();
+            }
+            start
+        })
+        .collect();
+    // Task `i` is the only one to lock chunk `i`, so the lock never waits
+    // and is never poisoned.
+    let chunks: Vec<Mutex<&mut [f32]>> = out.chunks_mut(GAUSSIAN_CHUNK).map(Mutex::new).collect();
+    WorkerPool::global().map(chunks.len(), usize::MAX, |i| {
+        let mut chunk = chunks[i].lock().unwrap_or_else(|e| e.into_inner());
+        fill_gaussian_serial(&mut starts[i].clone(), &mut chunk, std);
+    });
+}
+
+fn fill_gaussian_serial(rng: &mut StdRng, out: &mut [f32], std: f32) {
+    for v in out {
+        *v = gaussian(rng) * std;
     }
 }
 
@@ -445,6 +488,42 @@ mod tests {
         let var: f32 = samples.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / n as f32;
         assert!(mean.abs() < 0.05, "mean {mean}");
         assert!((var - 1.0).abs() < 0.1, "var {var}");
+    }
+
+    #[test]
+    fn gaussian_takes_exactly_two_draws() {
+        let mut sampled = StdRng::seed_from_u64(9);
+        let mut drawn = sampled.clone();
+        let n = 10_000;
+        for _ in 0..n {
+            assert!(gaussian(&mut sampled).is_finite());
+        }
+        for _ in 0..2 * n {
+            drawn.next_u64();
+        }
+        for _ in 0..4 {
+            assert_eq!(sampled.next_u64(), drawn.next_u64());
+        }
+    }
+
+    #[test]
+    fn pooled_fill_matches_the_serial_loop() {
+        for len in [
+            0,
+            1,
+            GAUSSIAN_CHUNK,
+            GAUSSIAN_CHUNK + 1,
+            3 * GAUSSIAN_CHUNK - 7,
+        ] {
+            let mut pooled_rng = StdRng::seed_from_u64(len as u64);
+            let mut serial_rng = pooled_rng.clone();
+            let mut pooled = vec![0.0f32; len];
+            fill_gaussian(&mut pooled_rng, &mut pooled, 0.5);
+            let serial: Vec<f32> = (0..len).map(|_| gaussian(&mut serial_rng) * 0.5).collect();
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&pooled), bits(&serial), "len {len}");
+            assert_eq!(pooled_rng.next_u64(), serial_rng.next_u64(), "len {len}");
+        }
     }
 
     #[test]
