@@ -12,6 +12,7 @@ use crate::defence::{defence_padding_bytes, Defence, NoiseState};
 use crate::encoder::{encode_timing, EncodeTiming};
 use crate::trace_event::{AccessKind, Trace, TraceEvent, TraceSink};
 use hd_dnn::graph::{ForwardTrace, Network, NodeId, Op, Params, Value};
+use hd_dnn::quantize::QuantBaseline;
 use hd_dnn::ForwardCache;
 use hd_tensor::cast;
 use hd_tensor::conv::is_sparse;
@@ -94,10 +95,25 @@ pub struct Device {
     // is seeded, so every device over the same (net, params) quantizes
     // identically regardless of run order.
     qnet: OnceLock<hd_dnn::quantize::QuantizedNet>,
+    // Lazily-built zero-input baseline of the INT8 network (i8 maps only),
+    // shared by every sparse run of a Precision::Int8 device.
+    qbase: OnceLock<QuantBaseline>,
     // Lazily-computed GEMM call dimensions per conv node (victims that
     // issue GEMM calls only). A pure function of the sealed weights and
     // config, so computed at most once per device.
     gemm_shapes: OnceLock<Vec<(NodeId, hd_tensor::GemmShape)>>,
+}
+
+/// A device's lazily built forward state: built on first use (a
+/// `device.fwd_cache` miss), then shared (a hit).
+fn cached<T>(cell: &OnceLock<T>, build: impl FnOnce() -> T) -> &T {
+    let mut built = false;
+    let value = cell.get_or_init(|| {
+        built = true;
+        build()
+    });
+    hd_obs::counter_add("device.fwd_cache", if built { "miss" } else { "hit" }, 1);
+    value
 }
 
 /// Ground-truth view handed out by [`Device::oracle`] for evaluation only.
@@ -184,6 +200,7 @@ impl Device {
             node_macs,
             fwd_cache: OnceLock::new(),
             qnet: OnceLock::new(),
+            qbase: OnceLock::new(),
             gemm_shapes: OnceLock::new(),
         }
     }
@@ -191,20 +208,26 @@ impl Device {
     /// Runs the forward pass on the configured numerics.
     ///
     /// A sparse image — the stripe-probe regime of the prober hot loop —
-    /// takes the cached path (CSC weights compacted once per device,
-    /// dirty-column recompute against the zero-input baseline); any other
-    /// image runs [`Network::forward`]. Both are bit-identical, so this
-    /// only changes speed, never the trace or the encode timings.
+    /// takes the dirty-column walk against a zero-input baseline built
+    /// once per device: [`Network::forward_cached`] on f32 devices (with
+    /// the CSC weights compacted in the same cache),
+    /// [`Network::forward_quantized_cached`] on INT8 devices. Any other
+    /// image runs [`Network::forward`], or the all-dirty INT8 walk
+    /// [`Network::forward_quantized`]. Each pair is bit-identical, so
+    /// this only changes speed, never the trace or the encode timings.
     fn forward_for(&self, image: &Tensor3) -> ForwardTrace {
+        let sparse = is_sparse(image.nnz(), image.shape().len());
         if self.cfg.compute == Precision::Int8 {
-            self.net.forward_quantized(self.quantized_net(), image)
-        } else if is_sparse(image.nnz(), image.shape().len()) {
-            let mut built = false;
-            let cache = self.fwd_cache.get_or_init(|| {
-                built = true;
+            let qnet = self.quantized_net();
+            if !sparse {
+                return self.net.forward_quantized(qnet, image);
+            }
+            let base = cached(&self.qbase, || QuantBaseline::build(&self.net, qnet));
+            self.net.forward_quantized_cached(qnet, image, base)
+        } else if sparse {
+            let cache = cached(&self.fwd_cache, || {
                 ForwardCache::build(&self.net, &self.params)
             });
-            hd_obs::counter_add("device.fwd_cache", if built { "miss" } else { "hit" }, 1);
             self.net.forward_cached(&self.params, image, cache)
         } else {
             self.net.forward(&self.params, image)

@@ -156,15 +156,6 @@ pub fn quantized_victim(model: Model, mode: PruneMode, width: f64, seed: u64) ->
     )
 }
 
-/// The full-size paper victim deployed INT8-quantized.
-pub fn paper_victim_quantized(model: Model, seed: u64) -> (Device, Network) {
-    paper_victim_with(
-        model,
-        seed,
-        AccelConfig::eyeriss_v2().with_precision(Precision::Int8),
-    )
-}
-
 /// Same victim on a custom accelerator configuration.
 pub fn paper_victim_with(model: Model, seed: u64, cfg: AccelConfig) -> (Device, Network) {
     let net = model.network(10);

@@ -6,12 +6,20 @@
 //! transform, so the INT8 network has no separate BN step), calibrates
 //! per-node activation ranges on a set of calibration images, and
 //! quantizes weights symmetrically per output channel
-//! ([`hd_tensor::QTensor4`]). [`Network::forward_quantized`] then runs the
-//! whole graph in the integer domain — i8 activations, i32 accumulators,
-//! one deterministic requantize per output element — and reports a
+//! ([`hd_tensor::QTensor4`]), compacting each conv layer into per-filter
+//! tap lists and each linear row into a nonzero `(index, i8)` list. The
+//! network then runs in the integer domain — i8 activations, i32
+//! accumulators, one deterministic requantize per output element — on the
+//! INT8 datapath of the dirty-column walk ([`crate::sparse_forward`]).
+//! [`Network::forward_quantized`] is the all-dirty walk (every column of
+//! every map computed), for dense images; the same walk on the zero image
+//! builds the [`QuantBaseline`] that
+//! [`Network::forward_quantized_cached`] uses to recompute only a stripe
+//! probe's dirty columns. Both report a
 //! [`ForwardTrace`] whose values are the *dequantized* INT8 activations,
 //! so every downstream consumer (accelerator timing model, attack code,
-//! experiments) sees exactly what an INT8 accelerator would compute.
+//! experiments) sees exactly what an INT8 accelerator would compute, and
+//! both produce the same bytes, since integer sums do not depend on order.
 //!
 //! Zero-skipping survives quantization by construction: activation zero
 //! points are exact ([`QuantParams::from_range`] widens the calibrated
@@ -22,11 +30,13 @@
 //! never materializes them, and the attack must work from the fused
 //! outputs alone.
 
-use crate::graph::{ForwardTrace, Network, NodeTrace, Op, Params, Value};
+use crate::graph::{ConvSpec, ForwardTrace, Network, NodeId, NodeTrace, Op, Params, Value};
+use crate::sparse_forward::{walk, Datapath};
+use hd_tensor::colspan::ColSpan;
 use hd_tensor::conv::Conv2dCfg;
 use hd_tensor::dwconv::dwconv2d;
 use hd_tensor::pool::PoolKind;
-use hd_tensor::qconv::{qconv2d, requantize, QConvParams};
+use hd_tensor::qconv::{qconv2d_cols, requantize, QConvParams};
 use hd_tensor::{QTensor3, QTensor4, QuantParams, Shape3, Tensor3};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -36,8 +46,9 @@ use rand::SeedableRng;
 /// multipliers (same contract as [`QConvParams`]).
 #[derive(Clone, Debug)]
 pub struct QLinearParams {
-    /// Row-major `out_features x in_features` quantized weights.
-    pub w_q: Vec<i8>,
+    /// Nonzero quantized weights of each output row as ascending
+    /// `(input index, weight)` pairs.
+    pub rows: Vec<Vec<(u32, i8)>>,
     /// Bias in accumulator units: `round(b[o] / (s_in * s_w[o]))`.
     pub bias_q: Vec<i32>,
     /// Per-row requantization multiplier `s_in * s_w[o] / s_out`.
@@ -84,11 +95,6 @@ pub struct QuantizedNet {
 }
 
 impl QuantizedNet {
-    /// Quantization of the network input.
-    pub fn input_qp(&self) -> QuantParams {
-        self.act_qp[0]
-    }
-
     /// Total non-zero quantized weight count (INT8 sparse footprint).
     pub fn sparse_weight_count(&self) -> usize {
         self.layers
@@ -97,7 +103,7 @@ impl QuantizedNet {
             .map(|l| match l {
                 QLayer::Conv(p) => p.nnz(),
                 QLayer::DwConv { w, .. } => w.nnz(),
-                QLayer::Linear(p) => p.w_q.iter().filter(|&&q| q != 0).count(),
+                QLayer::Linear(p) => p.rows.iter().map(Vec::len).sum(),
             })
             .sum()
     }
@@ -209,14 +215,20 @@ pub fn ptq(net: &Network, params: &Params, calib: &[Tensor3]) -> QuantizedNet {
                 let s_in = act_qp[node.inputs[0]].scale;
                 let out_qp = act_qp[id];
                 let (nin, nout) = (lp.in_features, lp.out_features);
-                let mut w_q = Vec::with_capacity(nout * nin);
+                let mut rows = Vec::with_capacity(nout);
                 let mut scales = Vec::with_capacity(nout);
                 for o in 0..nout {
                     let row = &lp.w[o * nin..(o + 1) * nin];
                     let maxabs = row.iter().fold(0.0f32, |m, v| m.max(v.abs()));
                     let qp = QuantParams::symmetric(maxabs);
                     scales.push(qp.scale);
-                    w_q.extend(row.iter().map(|&v| qp.quantize(v)));
+                    rows.push(
+                        row.iter()
+                            .enumerate()
+                            .map(|(i, &v)| (i as u32, qp.quantize(v)))
+                            .filter(|&(_, q)| q != 0)
+                            .collect(),
+                    );
                 }
                 let bias_q: Vec<i32> =
                     lp.b.iter()
@@ -226,7 +238,7 @@ pub fn ptq(net: &Network, params: &Params, calib: &[Tensor3]) -> QuantizedNet {
                 let multipliers: Vec<f32> =
                     scales.iter().map(|&sw| s_in * sw / out_qp.scale).collect();
                 Some(QLayer::Linear(QLinearParams {
-                    w_q,
+                    rows,
                     bias_q,
                     multipliers,
                     out_qp,
@@ -241,8 +253,8 @@ pub fn ptq(net: &Network, params: &Params, calib: &[Tensor3]) -> QuantizedNet {
     QuantizedNet { act_qp, layers }
 }
 
-/// A quantized value flowing along a graph edge during
-/// [`Network::forward_quantized`].
+/// A quantized value flowing along a graph edge of the INT8 walk.
+#[derive(Clone, Debug)]
 enum QValue {
     Map(QTensor3),
     Vector(Vec<i8>, QuantParams),
@@ -273,10 +285,51 @@ impl QValue {
     }
 }
 
-/// Integer-domain non-overlapping pooling, staying in the input's
-/// quantization. Max pooling is exact (max is monotone in `q`); average
+/// The zero-input baseline of an INT8 network: every node's i8 value on
+/// the all-zero image, kept in the integer domain only (the trace's clean
+/// columns are dequantized from it on the fly). Built once per device by
+/// [`QuantBaseline::build`]; consumed by
+/// [`Network::forward_quantized_cached`].
+#[derive(Clone, Debug)]
+pub struct QuantBaseline {
+    nodes: Vec<QValue>,
+}
+
+impl QuantBaseline {
+    /// Runs the all-dirty walk of `qnet` on the zero image.
+    pub fn build(net: &Network, qnet: &QuantizedNet) -> QuantBaseline {
+        let shape = net.input_shape();
+        let zeros = Tensor3::zeros(shape.c, shape.h, shape.w);
+        QuantBaseline {
+            nodes: walk(net, &Int8Path { qnet }, &zeros, None),
+        }
+    }
+}
+
+/// The i8 map an op writes its span columns into: a copy of its baseline,
+/// or zeros when the walk is all-dirty (the span then covers every
+/// column).
+fn start(baseline: Option<&QTensor3>, shape: Shape3) -> Vec<i8> {
+    match baseline {
+        Some(b) => {
+            assert_eq!(b.shape(), shape, "baseline shape must match the output");
+            b.data().to_vec()
+        }
+        None => vec![0; shape.len()],
+    }
+}
+
+/// Integer-domain non-overlapping pooling over the `span` output columns,
+/// staying in the input's quantization; the other columns come from
+/// `baseline`. Max pooling is exact (max is monotone in `q`); average
 /// pooling rounds the zero-point-centered window mean once per output.
-fn qpool2d(input: &QTensor3, factor: usize, kind: PoolKind) -> QTensor3 {
+fn qpool2d_cols(
+    input: &QTensor3,
+    factor: usize,
+    kind: PoolKind,
+    span: ColSpan,
+    baseline: Option<&QTensor3>,
+) -> QTensor3 {
     assert!(factor > 0, "pool factor must be positive");
     if factor == 1 {
         return input.clone();
@@ -284,11 +337,12 @@ fn qpool2d(input: &QTensor3, factor: usize, kind: PoolKind) -> QTensor3 {
     let (c, h, w) = (input.c(), input.h(), input.w());
     let (out_h, out_w) = (h / factor, w / factor);
     let zp = input.qp.zero_point;
-    let mut out = vec![0i8; c * out_h * out_w];
+    let mut out = start(baseline, Shape3::new(c, out_h, out_w));
+    let span = span.clamp(out_w);
     for ch in 0..c {
         let plane = &input.data()[ch * h * w..(ch + 1) * h * w];
         for p in 0..out_h {
-            for q in 0..out_w {
+            for q in span.lo()..span.hi() {
                 let mut best = i32::MIN;
                 let mut sum = 0i32;
                 for dy in 0..factor {
@@ -309,8 +363,187 @@ fn qpool2d(input: &QTensor3, factor: usize, kind: PoolKind) -> QTensor3 {
     QTensor3::from_raw(c, out_h, out_w, out, input.qp)
 }
 
+/// Integer-domain residual join over the `span` columns, requantized to
+/// `out_qp` and optionally clamped at its zero point (ReLU); the other
+/// columns come from `baseline`.
+fn qadd_cols(
+    a: &QTensor3,
+    b: &QTensor3,
+    out_qp: QuantParams,
+    relu: bool,
+    span: ColSpan,
+    baseline: Option<&QTensor3>,
+) -> QTensor3 {
+    assert_eq!(a.shape(), b.shape(), "shape mismatch in add");
+    let (zpa, zpb, zpo) = (a.qp.zero_point, b.qp.zero_point, out_qp.zero_point);
+    let ma = a.qp.scale / out_qp.scale;
+    let mb = b.qp.scale / out_qp.scale;
+    let floor = if relu {
+        zpo.clamp(-128, 127) as i8
+    } else {
+        i8::MIN
+    };
+    let mut out = start(baseline, a.shape());
+    let (h, w) = (a.h(), a.w());
+    for row in 0..a.c() * h {
+        let cols = row * w + span.lo()..row * w + span.hi();
+        let pairs = a.data()[cols.clone()].iter().zip(&b.data()[cols.clone()]);
+        for (dst, (&qa, &qb)) in out[cols].iter_mut().zip(pairs) {
+            let real = ma * (qa as i32 - zpa) as f32 + mb * (qb as i32 - zpb) as f32;
+            let q = (zpo as f32 + real.round()).clamp(-128.0, 127.0) as i8;
+            *dst = q.max(floor);
+        }
+    }
+    QTensor3::from_raw(a.c(), h, w, out, out_qp)
+}
+
+/// The INT8 datapath: column-restricted `qconv` with requantize and ReLU
+/// fused, integer pool and add over the span; depthwise convs run in f32
+/// (see [`QLayer::DwConv`]).
+struct Int8Path<'a> {
+    qnet: &'a QuantizedNet,
+}
+
+impl Datapath for Int8Path<'_> {
+    type Node = QValue;
+
+    fn input(&self, id: NodeId, image: &Tensor3) -> QValue {
+        QValue::Map(QTensor3::quantize(image, self.qnet.act_qp[id]))
+    }
+
+    fn conv(
+        &self,
+        id: NodeId,
+        spec: &ConvSpec,
+        x: &QValue,
+        in_span: ColSpan,
+        _out_span: ColSpan,
+        base: Option<&QValue>,
+    ) -> QValue {
+        let p = match &self.qnet.layers[id] {
+            Some(QLayer::Conv(p)) => p,
+            // hd-lint: allow(no-panic) -- topology mismatch is a caller bug, documented on forward_quantized
+            other => panic!("node {id} is not a quantized conv: {other:?}"),
+        };
+        let cfg = Conv2dCfg::new(spec.stride, spec.padding);
+        let base = base.map(QValue::map);
+        QValue::Map(qconv2d_cols(x.map(), p, &cfg, in_span, base, spec.relu))
+    }
+
+    fn dwconv(&self, id: NodeId, stride: usize, relu: bool, x: &QValue) -> QValue {
+        let (w, bn) = match &self.qnet.layers[id] {
+            Some(QLayer::DwConv { w, bn }) => (w, bn),
+            // hd-lint: allow(no-panic) -- topology mismatch is a caller bug, documented on forward_quantized
+            other => panic!("node {id} is not a quantized dwconv: {other:?}"),
+        };
+        let cfg = Conv2dCfg::new(stride, hd_tensor::conv::Padding::Same);
+        let mut out = dwconv2d(&x.map().dequantize(), w, &cfg);
+        if let Some(bn) = bn {
+            bn.apply_inplace(&mut out);
+        }
+        if relu {
+            out.relu_inplace();
+        }
+        QValue::Map(QTensor3::quantize(&out, self.qnet.act_qp[id]))
+    }
+
+    fn pool(
+        &self,
+        factor: usize,
+        kind: PoolKind,
+        x: &QValue,
+        span: ColSpan,
+        base: Option<&QValue>,
+    ) -> QValue {
+        let base = base.map(QValue::map);
+        QValue::Map(qpool2d_cols(x.map(), factor, kind, span, base))
+    }
+
+    fn add(
+        &self,
+        id: NodeId,
+        relu: bool,
+        a: &QValue,
+        b: &QValue,
+        span: ColSpan,
+        base: Option<&QValue>,
+    ) -> QValue {
+        let out_qp = self.qnet.act_qp[id];
+        let base = base.map(QValue::map);
+        QValue::Map(qadd_cols(a.map(), b.map(), out_qp, relu, span, base))
+    }
+
+    fn global_avg_pool(&self, x: &QValue) -> QValue {
+        let x = x.map();
+        let area = (x.h() * x.w()).max(1) as f32;
+        let zp = x.qp.zero_point;
+        let plane = x.h() * x.w();
+        let v: Vec<i8> = (0..x.c())
+            .map(|c| {
+                let sum: i32 = x.data()[c * plane..(c + 1) * plane]
+                    .iter()
+                    .map(|&q| q as i32 - zp)
+                    .sum();
+                (zp + (sum as f32 / area).round() as i32).clamp(-128, 127) as i8
+            })
+            .collect();
+        QValue::Vector(v, x.qp)
+    }
+
+    fn flatten(&self, x: &QValue) -> QValue {
+        let x = x.map();
+        QValue::Vector(x.data().to_vec(), x.qp)
+    }
+
+    fn linear(&self, id: NodeId, relu: bool, x: &QValue) -> QValue {
+        let (x, x_qp) = x.vector();
+        let p = match &self.qnet.layers[id] {
+            Some(QLayer::Linear(p)) => p,
+            // hd-lint: allow(no-panic) -- topology mismatch is a caller bug, documented on forward_quantized
+            other => panic!("node {id} is not a quantized linear: {other:?}"),
+        };
+        assert_eq!(p.in_features, x.len(), "linear input size mismatch");
+        let zp_in = x_qp.zero_point;
+        let zp_out = p.out_qp.zero_point;
+        let floor = if relu {
+            zp_out.clamp(-128, 127) as i8
+        } else {
+            i8::MIN
+        };
+        let y = p
+            .rows
+            .iter()
+            .zip(&p.bias_q)
+            .zip(&p.multipliers)
+            .map(|((row, &b), &m)| {
+                let mut acc = b;
+                for &(i, w) in row {
+                    acc += i32::from(w) * (i32::from(x[i as usize]) - zp_in);
+                }
+                requantize(acc, m, zp_out).max(floor)
+            })
+            .collect();
+        QValue::Vector(y, p.out_qp)
+    }
+}
+
+/// The dequantized trace of an INT8 walk: `pre_bn` / `pre_relu` stay
+/// `None` because BN is folded into the quantized weights.
+fn dequantized(nodes: &[QValue]) -> ForwardTrace {
+    ForwardTrace {
+        traces: nodes
+            .iter()
+            .map(|v| NodeTrace {
+                out: v.dequantize(),
+                pre_bn: None,
+                pre_relu: None,
+            })
+            .collect(),
+    }
+}
+
 impl Network {
-    /// Runs the INT8-quantized network.
+    /// Runs the INT8-quantized network: the all-dirty INT8 walk.
     ///
     /// All convolutions, linear layers, pooling, and residual joins
     /// execute in the integer domain (depthwise convolutions fall back to
@@ -323,6 +556,36 @@ impl Network {
     /// Panics if the input shape does not match, or if `qnet` was built
     /// for a different topology.
     pub fn forward_quantized(&self, qnet: &QuantizedNet, input: &Tensor3) -> ForwardTrace {
+        self.check_quantized(qnet, input);
+        dequantized(&walk(self, &Int8Path { qnet }, input, None))
+    }
+
+    /// [`Network::forward_quantized`] recomputing only the columns that
+    /// can differ from `baseline` (built by [`QuantBaseline::build`] for
+    /// this `qnet`). Byte-identical to the all-dirty walk; the narrower
+    /// the input's nonzero-column interval, the larger the saving.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`Network::forward_quantized`], plus a baseline
+    /// built for a different network.
+    pub fn forward_quantized_cached(
+        &self,
+        qnet: &QuantizedNet,
+        input: &Tensor3,
+        baseline: &QuantBaseline,
+    ) -> ForwardTrace {
+        self.check_quantized(qnet, input);
+        assert_eq!(
+            baseline.nodes.len(),
+            self.len(),
+            "quantized baseline was built for a different network"
+        );
+        let nodes = walk(self, &Int8Path { qnet }, input, Some(&baseline.nodes));
+        dequantized(&nodes)
+    }
+
+    fn check_quantized(&self, qnet: &QuantizedNet, input: &Tensor3) {
         assert_eq!(
             input.shape(),
             self.input_shape(),
@@ -335,140 +598,7 @@ impl Network {
             self.len(),
             "quantized net topology mismatch"
         );
-        let mut values: Vec<QValue> = Vec::with_capacity(self.len());
-        let mut traces: Vec<NodeTrace> = Vec::with_capacity(self.len());
-        for (id, node) in self.nodes().iter().enumerate() {
-            let value = match &node.op {
-                Op::Input => QValue::Map(QTensor3::quantize(input, qnet.act_qp[id])),
-                Op::Conv(spec) => {
-                    let x = values[node.inputs[0]].map();
-                    let p = match &qnet.layers[id] {
-                        Some(QLayer::Conv(p)) => p,
-                        // hd-lint: allow(no-panic) -- topology mismatch is a caller bug, documented above
-                        other => panic!("node {id} is not a quantized conv: {other:?}"),
-                    };
-                    let cfg = Conv2dCfg::new(spec.stride, spec.padding);
-                    let mut out = qconv2d(x, p, &cfg);
-                    if spec.relu {
-                        qrelu_inplace(&mut out);
-                    }
-                    QValue::Map(out)
-                }
-                Op::DwConv {
-                    stride,
-                    relu: do_relu,
-                    ..
-                } => {
-                    let x = values[node.inputs[0]].map();
-                    let (w, bn) = match &qnet.layers[id] {
-                        Some(QLayer::DwConv { w, bn }) => (w, bn),
-                        // hd-lint: allow(no-panic) -- topology mismatch is a caller bug, documented above
-                        other => panic!("node {id} is not a quantized dwconv: {other:?}"),
-                    };
-                    let cfg = Conv2dCfg::new(*stride, hd_tensor::conv::Padding::Same);
-                    let mut out = dwconv2d(&x.dequantize(), w, &cfg);
-                    if let Some(bn) = bn {
-                        bn.apply_inplace(&mut out);
-                    }
-                    if *do_relu {
-                        out.relu_inplace();
-                    }
-                    QValue::Map(QTensor3::quantize(&out, qnet.act_qp[id]))
-                }
-                Op::Pool { factor, kind } => {
-                    QValue::Map(qpool2d(values[node.inputs[0]].map(), *factor, *kind))
-                }
-                Op::Add { relu: do_relu } => {
-                    let a = values[node.inputs[0]].map();
-                    let b = values[node.inputs[1]].map();
-                    let out_qp = qnet.act_qp[id];
-                    let (zpa, zpb, zpo) = (a.qp.zero_point, b.qp.zero_point, out_qp.zero_point);
-                    let ma = a.qp.scale / out_qp.scale;
-                    let mb = b.qp.scale / out_qp.scale;
-                    let zp_i8 = out_qp.zero_point.clamp(-128, 127) as i8;
-                    let data: Vec<i8> = a
-                        .data()
-                        .iter()
-                        .zip(b.data())
-                        .map(|(&qa, &qb)| {
-                            let real =
-                                ma * (qa as i32 - zpa) as f32 + mb * (qb as i32 - zpb) as f32;
-                            let q = (zpo as f32 + real.round()).clamp(-128.0, 127.0) as i8;
-                            if *do_relu {
-                                q.max(zp_i8)
-                            } else {
-                                q
-                            }
-                        })
-                        .collect();
-                    QValue::Map(QTensor3::from_raw(a.c(), a.h(), a.w(), data, out_qp))
-                }
-                Op::GlobalAvgPool => {
-                    let x = values[node.inputs[0]].map();
-                    let area = (x.h() * x.w()).max(1) as f32;
-                    let zp = x.qp.zero_point;
-                    let plane = x.h() * x.w();
-                    let v: Vec<i8> = (0..x.c())
-                        .map(|c| {
-                            let sum: i32 = x.data()[c * plane..(c + 1) * plane]
-                                .iter()
-                                .map(|&q| q as i32 - zp)
-                                .sum();
-                            (zp + (sum as f32 / area).round() as i32).clamp(-128, 127) as i8
-                        })
-                        .collect();
-                    QValue::Vector(v, x.qp)
-                }
-                Op::Flatten => {
-                    let x = values[node.inputs[0]].map();
-                    QValue::Vector(x.data().to_vec(), x.qp)
-                }
-                Op::Linear { relu: do_relu, .. } => {
-                    let (x, x_qp) = values[node.inputs[0]].vector();
-                    let p = match &qnet.layers[id] {
-                        Some(QLayer::Linear(p)) => p,
-                        // hd-lint: allow(no-panic) -- topology mismatch is a caller bug, documented above
-                        other => panic!("node {id} is not a quantized linear: {other:?}"),
-                    };
-                    assert_eq!(p.in_features, x.len(), "linear input size mismatch");
-                    let zp_in = x_qp.zero_point;
-                    let zp_out = p.out_qp.zero_point;
-                    let zp_i8 = zp_out.clamp(-128, 127) as i8;
-                    let mut y = vec![0i8; p.out_features];
-                    for (o, yo) in y.iter_mut().enumerate() {
-                        let row = &p.w_q[o * p.in_features..(o + 1) * p.in_features];
-                        let mut acc = p.bias_q[o];
-                        for (&wq, &xq) in row.iter().zip(x) {
-                            let wv = wq as i32;
-                            if wv != 0 {
-                                acc += wv * (xq as i32 - zp_in);
-                            }
-                        }
-                        let q = requantize(acc, p.multipliers[o], zp_out);
-                        *yo = if *do_relu { q.max(zp_i8) } else { q };
-                    }
-                    QValue::Vector(y, p.out_qp)
-                }
-            };
-            traces.push(NodeTrace {
-                out: value.dequantize(),
-                pre_bn: None,
-                pre_relu: None,
-            });
-            values.push(value);
-        }
-        ForwardTrace { traces }
     }
-}
-
-/// Integer-domain ReLU: clamps below the zero point (which dequantizes to
-/// exactly 0.0).
-fn qrelu_inplace(t: &mut QTensor3) {
-    let zp = t.zero_point_i8();
-    let qp = t.qp;
-    let (c, h, w) = (t.c(), t.h(), t.w());
-    let data: Vec<i8> = t.data().iter().map(|&q| q.max(zp)).collect();
-    *t = QTensor3::from_raw(c, h, w, data, qp);
 }
 
 #[cfg(test)]

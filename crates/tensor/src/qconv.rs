@@ -19,27 +19,34 @@
 //!   stores each filter as a CSR row of `(tap slot, i8 weight)` pairs. The
 //!   dense weight tensor is not retained: pruned weights, and taps pruned
 //!   in every filter, cost nothing from then on.
-//! * **Lowering, per call.** The zero-point-centred input is lowered into
-//!   a `used_taps x out_positions` i32 matrix whose row `t` holds the
-//!   value each output position reads through tap `t`. Stride and
-//!   padding are resolved here, with padding cells left at 0, so the
-//!   multiply serves every stride without bounds logic. High-resolution
-//!   layers lower their taps in blocks of at most 64 KiB, which bounds
-//!   the scratch per call.
+//! * **Lowering, per call.** [`qconv2d_cols`] recomputes only the output
+//!   columns an input column span can reach (a stripe probe's receptive
+//!   field; [`qconv2d`] passes the full width). The zero-point-centred
+//!   input is lowered into a `used_taps x (out_h * span)` i32 matrix whose
+//!   row `t` holds the value each recomputed output position reads
+//!   through tap `t`. Stride and padding are resolved here, with padding
+//!   cells left at 0, so the multiply serves every stride without bounds
+//!   logic. Wide layers lower their taps in blocks of at most 64 KiB,
+//!   which bounds the scratch per call.
 //! * **Multiply.** Filter `k` starts a row of accumulators at
-//!   `bias_q[k]`, adds one [`crate::simd::qaxpy`] per surviving weight
-//!   across all output positions, then requantizes.
+//!   `bias_q[k]` and runs its whole weight list in one
+//!   [`crate::simd::qaxpy_rows`] call, which keeps a group of positions in
+//!   registers while the list streams past. The row is then requantized,
+//!   the optional ReLU is fused into that write-out, and only the span
+//!   columns are written: the rest come from the caller's baseline.
 //!
 //! Every accumulation is exact integer arithmetic, so the sum does not
 //! depend on the order of its terms: [`qconv2d`] is byte-identical to the
 //! scalar loop nest [`qconv2d_reference`], the test oracle, on every
-//! stride, padding and dispatch mode. Only the final rounding touches
-//! floating point, and it is evaluated once per output element from the
-//! same i32 accumulator. Accumulators cannot overflow: `|w| <= 127`,
-//! `|x - zp| <= 255`, a padding cell contributes 0, and the largest victim
-//! layer has `512 * 3 * 3` taps, bounding the weighted sum by
-//! `4608 * 127 * 255 < 1.5e8`, well under `2^31`.
+//! stride, padding and dispatch mode, and a column-restricted call is
+//! byte-identical to the full one on the columns it writes. Only the final
+//! rounding touches floating point, and it is evaluated once per output
+//! element from the same i32 accumulator. Accumulators cannot overflow:
+//! `|w| <= 127`, `|x - zp| <= 255`, a padding cell contributes 0, and the
+//! largest victim layer has `512 * 3 * 3` taps, bounding the weighted sum
+//! by `4608 * 127 * 255 < 1.5e8`, well under `2^31`.
 
+use crate::colspan::ColSpan;
 use crate::conv::{conv_out_dim, same_pad, Conv2dCfg, Padding};
 use crate::qtensor::{QTensor3, QTensor4, QuantParams};
 use std::ops::Range;
@@ -163,107 +170,182 @@ pub fn requantize(acc: i32, multiplier: f32, zp_out: i32) -> i8 {
     q.clamp(-128.0, 127.0) as i8
 }
 
-/// Bytes of lowered input held at once. A layer whose full lowering is
+/// Bytes of lowered input held at once. A call whose full lowering is
 /// larger (the high-resolution layers) lowers its taps in blocks of this
 /// size, which bounds the kernel's scratch without shortening the
-/// [`crate::simd::qaxpy`] runs, which always span every output position.
+/// [`crate::simd::qaxpy_rows`] runs, which always span every recomputed
+/// output position.
 const LOWERED_BLOCK_BYTES: usize = 64 * 1024;
 
-/// Quantized convolution: lowers the input over the layer's used taps,
-/// then accumulates each filter's surviving weights across all output
-/// positions with [`crate::simd::qaxpy`] (see the module docs). One
-/// kernel serves every stride and padding.
+/// Quantized convolution over the whole map: [`qconv2d_cols`] with the
+/// full column span, no baseline and no ReLU.
 ///
 /// # Panics
 ///
 /// Panics if the input channels or per-channel vector lengths disagree
 /// with `p`, or if `cfg.stride == 0`.
 pub fn qconv2d(input: &QTensor3, p: &QConvParams, cfg: &Conv2dCfg) -> QTensor3 {
-    qconv2d_blocked(input, p, cfg, LOWERED_BLOCK_BYTES)
+    qconv2d_cols(input, p, cfg, ColSpan::full(input.w()), None, false)
 }
 
-/// [`qconv2d`] with the lowering scratch bounded by `block_bytes`
+/// Quantized convolution restricted to the output columns reachable from
+/// `in_span`: lowers the input over the layer's used taps and those
+/// columns, then runs each filter's weight list in one
+/// [`crate::simd::qaxpy_rows`] call (see the module docs). With `relu`,
+/// every written value is clamped below at the output zero point. One
+/// kernel serves every stride and padding.
+///
+/// The caller guarantees one of two contracts, as for
+/// [`crate::csc_conv::conv2d_csc`]:
+///
+/// * `baseline == None`: every input column outside `in_span` holds the
+///   input zero point. Each untouched output column is then the
+///   requantized bias, which is what this kernel writes there.
+/// * `baseline == Some(base)`: `base` is this convolution's output (with
+///   the same `relu`) for a reference input that agrees with `input` on
+///   every column outside `in_span`. Untouched columns are copied from
+///   `base`.
+///
+/// Under either contract the result is byte-identical to the full
+/// convolution of `input`.
+///
+/// # Panics
+///
+/// Panics as [`qconv2d`] does, or if a provided `baseline` does not have
+/// the output shape.
+pub fn qconv2d_cols(
+    input: &QTensor3,
+    p: &QConvParams,
+    cfg: &Conv2dCfg,
+    in_span: ColSpan,
+    baseline: Option<&QTensor3>,
+    relu: bool,
+) -> QTensor3 {
+    qconv2d_blocked(input, p, cfg, in_span, baseline, relu, LOWERED_BLOCK_BYTES)
+}
+
+/// [`qconv2d_cols`] with the lowering scratch bounded by `block_bytes`
 /// (at least one tap per block); the unit tests shrink it to force many
 /// blocks.
 fn qconv2d_blocked(
     input: &QTensor3,
     p: &QConvParams,
     cfg: &Conv2dCfg,
+    in_span: ColSpan,
+    baseline: Option<&QTensor3>,
+    relu: bool,
     block_bytes: usize,
 ) -> QTensor3 {
     check_args(input, p, cfg);
     let g = Geometry::new(input, p.r(), p.s(), cfg);
-    let npos = g.out_h * g.out_w;
-    // One accumulator row per filter, seeded with its bias.
+    let zp_out = p.out_qp.zero_point;
+    let floor = if relu {
+        zp_out.clamp(-128, 127) as i8
+    } else {
+        i8::MIN
+    };
+    let write = |acc: i32, m: f32| requantize(acc, m, zp_out).max(floor);
+    let plane = g.out_h * g.out_w;
+    let mut out: Vec<i8> = match baseline {
+        Some(base) => {
+            assert_eq!(
+                (base.c(), base.h(), base.w()),
+                (p.k(), g.out_h, g.out_w),
+                "baseline shape must match the convolution output"
+            );
+            base.data().to_vec()
+        }
+        None => p
+            .bias_q
+            .iter()
+            .zip(&p.multipliers)
+            .flat_map(|(&b, &m)| std::iter::repeat_n(write(b, m), plane))
+            .collect(),
+    };
+    let span = in_span
+        .clamp(input.w())
+        .conv(p.s(), g.stride, g.pad_x, g.out_w);
+    if g.out_h == 0 || span.is_empty() {
+        return QTensor3::from_raw(p.k(), g.out_h, g.out_w, out, p.out_qp);
+    }
+    // Lane `p * width + j` is output `(p, span.lo() + j)`; lanes past
+    // `out_h * width` only pad the row to whole 8-lane chunks (they read
+    // 0 and are never written out). One accumulator row per filter,
+    // seeded with its bias.
+    let width = span.width();
+    let lanes = (g.out_h * width).div_ceil(8) * 8;
     let mut acc: Vec<i32> = p
         .bias_q
         .iter()
-        .flat_map(|&b| std::iter::repeat_n(b, npos))
+        .flat_map(|&b| std::iter::repeat_n(b, lanes))
         .collect();
     // Each filter's next CSR entry. Entries ascend by slot, so every tap
     // block consumes a prefix of what is left.
     let mut next: Vec<usize> = p.offsets[..p.k()].iter().map(|&o| o as usize).collect();
-    let block = (block_bytes / (4 * npos).max(1)).max(1);
+    let block = (block_bytes / (4 * lanes)).max(1);
     let mut lowered = Vec::new();
     for t0 in (0..p.used_taps()).step_by(block) {
         let t1 = (t0 + block).min(p.used_taps());
-        lower(input, p, &g, t0..t1, &mut lowered);
+        lower(input, p, &g, span, t0..t1, lanes, &mut lowered);
         for (k, start) in next.iter_mut().enumerate() {
             let left = &p.slots[*start..p.offsets[k + 1] as usize];
             let entries = *start..*start + left.partition_point(|&s| usize::from(s) < t1);
             *start = entries.end;
-            let acc_k = &mut acc[k * npos..][..npos];
-            for (&slot, &w) in p.slots[entries.clone()].iter().zip(&p.values[entries]) {
-                let row = &lowered[(usize::from(slot) - t0) * npos..][..npos];
-                crate::simd::qaxpy(acc_k, row, i32::from(w));
-            }
+            crate::simd::qaxpy_rows(
+                &mut acc[k * lanes..][..lanes],
+                &lowered,
+                &p.slots[entries.clone()],
+                t0,
+                &p.values[entries],
+            );
         }
     }
-    let zp_out = p.out_qp.zero_point;
-    let mut out = Vec::with_capacity(acc.len());
-    for (k, &m) in p.multipliers.iter().enumerate() {
-        out.extend(
-            acc[k * npos..][..npos]
-                .iter()
-                .map(|&a| requantize(a, m, zp_out)),
-        );
+    for (k, (row, &m)) in acc.chunks_exact(lanes).zip(&p.multipliers).enumerate() {
+        for (pq, src) in row.chunks_exact(width).take(g.out_h).enumerate() {
+            let at = k * plane + pq * g.out_w + span.lo();
+            for (dst, &a) in out[at..at + width].iter_mut().zip(src) {
+                *dst = write(a, m);
+            }
+        }
     }
     QTensor3::from_raw(p.k(), g.out_h, g.out_w, out, p.out_qp)
 }
 
 /// Lowers the zero-point-centred input for the used taps in slots
-/// `slots` to one row of `out_h * out_w` values per tap; cells that read
-/// padding stay 0.
+/// `slots` and the output columns `cols` to one row of `lanes` values per
+/// tap (lane `p * cols.width() + j` is output `(p, cols.lo() + j)`);
+/// cells that read padding, and the padding lanes, stay 0.
 fn lower(
     input: &QTensor3,
     p: &QConvParams,
     g: &Geometry,
+    cols: ColSpan,
     slots: Range<usize>,
+    lanes: usize,
     lowered: &mut Vec<i32>,
 ) {
     let (in_h, in_w) = (input.h(), input.w());
-    let npos = g.out_h * g.out_w;
+    let width = cols.width();
     let zp_in = input.qp.zero_point;
     lowered.clear();
-    lowered.resize(slots.len() * npos, 0);
-    if npos == 0 {
-        return;
-    }
+    lowered.resize(slots.len() * lanes, 0);
     let (kr, ks) = (p.r(), p.s());
-    for (&tap, row) in p.taps[slots].iter().zip(lowered.chunks_exact_mut(npos)) {
+    for (&tap, row) in p.taps[slots].iter().zip(lowered.chunks_exact_mut(lanes)) {
         let tap = tap as usize;
         let (c, r, s) = (tap / (kr * ks), tap / ks % kr, tap % ks);
         let qs = g.valid_outputs(s, g.pad_x, in_w, g.out_w);
-        if qs.is_empty() {
-            continue; // every read of this tap lands in padding
+        let (q0, q1) = (qs.start.max(cols.lo()), qs.end.min(cols.hi()));
+        if q0 >= q1 {
+            continue; // every read of this tap in the span lands in padding
         }
+        let (j0, j1) = (q0 - cols.lo(), q1 - cols.lo());
         for pq in g.valid_outputs(r, g.pad_y, in_h, g.out_h) {
             let iy = pq * g.stride + r - g.pad_y;
             let in_row = &input.data()[(c * in_h + iy) * in_w..][..in_w];
-            let src = in_row[qs.start * g.stride + s - g.pad_x..]
+            let src = in_row[q0 * g.stride + s - g.pad_x..]
                 .iter()
                 .step_by(g.stride);
-            for (dst, &x) in row[pq * g.out_w..][qs.clone()].iter_mut().zip(src) {
+            for (dst, &x) in row[pq * width..][j0..j1].iter_mut().zip(src) {
                 *dst = i32::from(x) - zp_in;
             }
         }
@@ -320,7 +402,8 @@ fn check_args(input: &QTensor3, p: &QConvParams, cfg: &Conv2dCfg) {
 }
 
 /// Scalar i32 loop nest over the dense `weight` — the specification
-/// [`qconv2d`] and the differential tests compare against. It reads only
+/// [`qconv2d`] and [`qconv2d_cols`] and the differential tests compare
+/// against. It reads only
 /// the bias, multipliers and output quantization from `p`, never the
 /// compacted tap lists, so it stays independent of the compaction.
 ///
@@ -437,13 +520,80 @@ mod tests {
             let want = qconv2d_reference(&qx, &weight, &p, &cfg);
             // One tap per block, a few taps per block, one block.
             for block_bytes in [0, 64, LOWERED_BLOCK_BYTES] {
-                let got = qconv2d_blocked(&qx, &p, &cfg, block_bytes);
+                let full = ColSpan::full(w);
+                let got = qconv2d_blocked(&qx, &p, &cfg, full, None, false, block_bytes);
                 assert_eq!(want.shape(), got.shape(), "case {case}");
                 assert_eq!(
                     want.data(),
                     got.data(),
                     "case {case}, {block_bytes} B blocks"
                 );
+            }
+        }
+    }
+
+    /// `relu` applied to a reference output: clamp below the zero point.
+    fn relu(t: &QTensor3) -> QTensor3 {
+        let zp = t.zero_point_i8();
+        let data = t.data().iter().map(|&q| q.max(zp)).collect();
+        QTensor3::from_raw(t.c(), t.h(), t.w(), data, t.qp)
+    }
+
+    #[test]
+    fn column_restricted_kernel_matches_reference_under_both_contracts() {
+        let mut rng = StdRng::seed_from_u64(0xC015);
+        for case in 0..60u64 {
+            let (c, h, w) = (
+                rng.gen_range(1..4usize),
+                rng.gen_range(1..9usize),
+                rng.gen_range(1..12usize),
+            );
+            let (k, kr) = (rng.gen_range(1..5usize), rng.gen_range(1..4usize));
+            let padding = if rng.gen_bool(0.5) {
+                Padding::Same
+            } else {
+                Padding::Valid
+            };
+            let cfg = Conv2dCfg::new(rng.gen_range(1..4usize), padding);
+            let (weight, p, in_qp) = random_qconv(case, k, c, kr);
+            let lo = rng.gen_range(0..w);
+            let span = ColSpan::new(lo, rng.gen_range(lo + 1..=w));
+            // `base_x` and `x` differ only inside the span; `stripe` is
+            // `x` with every column outside the span at the zero point.
+            let mut base_x = Tensor3::zeros(c, h, w);
+            base_x.fill_uniform(&mut rng, -1.0, 1.0);
+            let (mut x, mut stripe) = (base_x.clone(), Tensor3::zeros(c, h, w));
+            for ch in 0..c {
+                for y in 0..h {
+                    for col in span.lo()..span.hi() {
+                        let v = rng.gen_range(-1.0..1.0);
+                        x.set(ch, y, col, v);
+                        stripe.set(ch, y, col, v);
+                    }
+                }
+            }
+            let (qbase_x, qx, qstripe) = (
+                QTensor3::quantize(&base_x, in_qp),
+                QTensor3::quantize(&x, in_qp),
+                QTensor3::quantize(&stripe, in_qp),
+            );
+            for with_relu in [false, true] {
+                let post = |t: QTensor3| if with_relu { relu(&t) } else { t };
+                let base = post(qconv2d_reference(&qbase_x, &weight, &p, &cfg));
+                let want = post(qconv2d_reference(&qx, &weight, &p, &cfg));
+                let want_stripe = post(qconv2d_reference(&qstripe, &weight, &p, &cfg));
+                for block_bytes in [0, LOWERED_BLOCK_BYTES] {
+                    let got =
+                        qconv2d_blocked(&qx, &p, &cfg, span, Some(&base), with_relu, block_bytes);
+                    assert_eq!(want.data(), got.data(), "case {case}, baseline contract");
+                    let got =
+                        qconv2d_blocked(&qstripe, &p, &cfg, span, None, with_relu, block_bytes);
+                    assert_eq!(
+                        want_stripe.data(),
+                        got.data(),
+                        "case {case}, zero-point contract"
+                    );
+                }
             }
         }
     }

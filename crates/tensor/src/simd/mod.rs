@@ -13,8 +13,8 @@
 //! # Bit-identity contract
 //!
 //! The vector kernels vectorize **across output elements only** (the NR
-//! register columns of a GEMM tile, a contiguous run of output-x
-//! positions, or the flattened output lanes of a CSC tile) and use
+//! register columns of a GEMM tile, or the flattened output lanes of a
+//! CSC tile or of an INT8 filter's accumulator row) and use
 //! separate multiply + add — never FMA. Each output element therefore
 //! receives exactly the same f32 additions in exactly the same order on
 //! both paths, and the golden traces recorded before this module existed
@@ -216,30 +216,44 @@ pub fn axpy_nonzero_rows(tile: &mut [f32], x: &[f32], rows: &[u32], weights: &[f
     scalar::axpy_nonzero_rows(tile, x, rows, weights);
 }
 
-/// Unmasked i32 accumulate over a contiguous run: `acc[i] += w * x[i]`.
-/// Integer arithmetic is exact, so the quantized kernels need no
-/// zero-mask to stay bit-identical across paths. `acc` and `x` must have
-/// equal length; products and sums must not overflow `i32` (the
+/// One filter's whole weight list against a register tile of i32
+/// accumulators: for every `(r, w)` in `rows.zip(weights)`,
+/// `acc[i] += w * x[(r - row0) * L + i]` for each lane `i`, with
+/// `L = acc.len()`. `x` is a row-major matrix of `L`-lane rows (the
+/// quantized conv's lowered input) whose first row is row `row0`.
+/// Integer arithmetic is exact, so no lane mask is needed for the paths
+/// to agree bit for bit; products and sums must not overflow `i32` (the
 /// quantized conv bounds its accumulators well below `i32::MAX`).
+/// Dispatch is decided once per call, not once per weight; this is the
+/// inner step of [`crate::qconv`].
+///
+/// # Panics
+///
+/// Panics if `rows` and `weights` differ in length, or if a row lies
+/// before `row0` or past the end of `x`.
 #[inline]
-pub fn qaxpy(acc: &mut [i32], x: &[i32], w: i32) {
-    assert_eq!(acc.len(), x.len(), "qaxpy operand length mismatch");
-    #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+pub fn qaxpy_rows(acc: &mut [i32], x: &[i32], rows: &[u16], row0: usize, weights: &[i8]) {
+    assert_eq!(rows.len(), weights.len(), "weight list length mismatch");
+    #[cfg(target_arch = "x86_64")]
     if mode() == MODE_VECTOR {
-        // SAFETY: ISA presence verified before MODE_VECTOR was stored;
-        // equal slice lengths asserted above bound every pointer access.
-        #[cfg(target_arch = "x86_64")]
-        unsafe {
-            x86::qaxpy_avx2(acc, x, w)
-        };
-        // SAFETY: as above.
-        #[cfg(target_arch = "aarch64")]
-        unsafe {
-            neon::qaxpy_neon(acc, x, w)
-        };
+        // SAFETY: AVX2 verified before MODE_VECTOR was stored; the kernel
+        // bounds-checks every row of `x` itself.
+        unsafe { x86::qaxpy_rows_avx2(acc, x, rows, row0, weights) };
         return;
     }
-    scalar::qaxpy(acc, x, w);
+    #[cfg(target_arch = "aarch64")]
+    if mode() == MODE_VECTOR {
+        let len = acc.len();
+        for (&r, &w) in rows.iter().zip(weights) {
+            let at = (usize::from(r) - row0) * len;
+            let src = &x[at..at + len];
+            // SAFETY: NEON is baseline on aarch64, and `src` is a checked
+            // slice of exactly `acc.len()` values.
+            unsafe { neon::qaxpy_neon(acc, src, i32::from(w)) };
+        }
+        return;
+    }
+    scalar::qaxpy_rows(acc, x, rows, row0, weights);
 }
 
 #[cfg(test)]
@@ -341,22 +355,10 @@ mod tests {
     }
 
     #[test]
-    fn qaxpy_paths_identical() {
-        let mut rng = StdRng::seed_from_u64(11);
-        for n in [0usize, 1, 8, 13, 40] {
-            let x: Vec<i32> = (0..n).map(|_| rng.gen_range(-255..=255)).collect();
-            let acc0: Vec<i32> = (0..n).map(|_| rng.gen_range(-10_000..10_000)).collect();
-            let mut outs: Vec<Vec<i32>> = Vec::new();
-            both_paths(|_| {
-                let mut acc = acc0.clone();
-                qaxpy(&mut acc, &x, -113);
-                outs.push(acc);
-            });
-            assert_eq!(outs[0], outs[1], "n={n}");
-            for i in 0..n {
-                assert_eq!(outs[0][i], acc0[i] + (-113) * x[i]);
-            }
-        }
+    #[should_panic(expected = "out of range")]
+    fn qaxpy_rows_rejects_rows_past_the_matrix() {
+        let mut acc = vec![0i32; 8];
+        qaxpy_rows(&mut acc, &[1; 16], &[2], 0, &[1]);
     }
 
     #[test]

@@ -54,8 +54,9 @@ pub unsafe fn gemm_micro_neon(
     }
 }
 
-/// Unmasked i32 accumulate: `acc[i] += w * x[i]` (no overflow by caller
-/// contract; wrapping on both paths keeps them identical regardless).
+/// Unmasked i32 accumulate of one row of [`super::qaxpy_rows`]:
+/// `acc[i] += w * x[i]` (no overflow by caller contract; wrapping on both
+/// paths keeps them identical regardless).
 ///
 /// # Safety
 ///

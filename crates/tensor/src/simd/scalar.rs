@@ -215,7 +215,8 @@ pub fn axpy_nonzero_rows(tile: &mut [f32], x: &[f32], rows: &[u32], weights: &[f
     }
 }
 
-/// Scalar unmasked i32 accumulate: `acc[i] += w * x[i]`.
+/// Scalar unmasked i32 accumulate over one run, `acc[i] += w * x[i]`:
+/// the per-row oracle of [`qaxpy_rows`]'s tests.
 pub fn qaxpy(acc: &mut [i32], x: &[i32], w: i32) {
     let wv = i32x8::splat(w);
     let mut chunks = acc.chunks_exact_mut(8);
@@ -227,5 +228,35 @@ pub fn qaxpy(acc: &mut [i32], x: &[i32], w: i32) {
     }
     for (a, &xv) in chunks.into_remainder().iter_mut().zip(xchunks.remainder()) {
         *a = a.wrapping_add(w.wrapping_mul(xv));
+    }
+}
+
+/// Scalar per-filter accumulate: for every `(r, w)` pair, each 8-lane
+/// chunk of `acc` gains `w * x[(r - row0) * L + ...]`, with `L =
+/// acc.len()`. Chunk-outer like the vector kernel, so a chunk's
+/// accumulators stay in one lane value while the list streams past; the
+/// lanes past the last whole chunk take the same wrapping arithmetic one
+/// at a time.
+pub fn qaxpy_rows(acc: &mut [i32], x: &[i32], rows: &[u16], row0: usize, weights: &[i8]) {
+    let len = acc.len();
+    let whole = len / 8 * 8;
+    let (body, tail) = acc.split_at_mut(whole);
+    for (j, a8) in body.chunks_exact_mut(8).enumerate() {
+        let mut av = i32x8::load(a8);
+        for (&r, &w) in rows.iter().zip(weights) {
+            let at = (usize::from(r) - row0) * len + 8 * j;
+            av = av.add(i32x8::splat(i32::from(w)).mul(i32x8::load(&x[at..at + 8])));
+        }
+        av.store(a8);
+    }
+    if tail.is_empty() {
+        return;
+    }
+    for (&r, &w) in rows.iter().zip(weights) {
+        let at = (usize::from(r) - row0) * len;
+        let w = i32::from(w);
+        for (a, &xv) in tail.iter_mut().zip(&x[at + whole..at + len]) {
+            *a = a.wrapping_add(w.wrapping_mul(xv));
+        }
     }
 }

@@ -134,32 +134,89 @@ unsafe fn rows_group<const N: usize>(
     }
 }
 
-/// Unmasked i32 accumulate: `acc[i] += w * x[i]` (no overflow by caller
-/// contract; wrapping on both paths keeps them identical regardless).
+/// Per-filter accumulate into a register tile: for every `(r, w)` pair,
+/// `acc[i] += w * x[(r - row0) * L + i]` with `L = acc.len()`. The lanes
+/// are walked in groups of up to four 8-lane chunks: a group's
+/// accumulators are loaded once and stay in registers while the whole
+/// weight list streams past, then are stored once. Lanes past the last
+/// whole chunk take a scalar loop with the same wrapping arithmetic.
+///
+/// Rows of `x` are bounds-checked (a panic, never an out-of-range
+/// access), so a bad row index cannot corrupt memory.
 ///
 /// # Safety
 ///
-/// Requires AVX2. `acc` and `x` must have equal length.
+/// Requires AVX2.
 #[target_feature(enable = "avx2")]
-pub unsafe fn qaxpy_avx2(acc: &mut [i32], x: &[i32], w: i32) {
-    // SAFETY: caller guarantees equal lengths; `i + 8 <= n` bounds every
-    // vector access and the remainder loop uses checked indices below n.
+pub unsafe fn qaxpy_rows_avx2(
+    acc: &mut [i32],
+    x: &[i32],
+    rows: &[u16],
+    row0: usize,
+    weights: &[i8],
+) {
+    // SAFETY: AVX2 is the caller's guarantee, and `j + 8 * chunks <=
+    // len` keeps each group inside `acc`.
     unsafe {
-        let n = acc.len();
-        let wv = _mm256_set1_epi32(w);
-        let mut i = 0;
-        while i + 8 <= n {
-            let xv = _mm256_loadu_si256(x.as_ptr().add(i) as *const __m256i);
-            let av = _mm256_loadu_si256(acc.as_ptr().add(i) as *const __m256i);
-            let sum = _mm256_add_epi32(av, _mm256_mullo_epi32(wv, xv));
-            _mm256_storeu_si256(acc.as_mut_ptr().add(i) as *mut __m256i, sum);
-            i += 8;
+        let len = acc.len();
+        let mut j = 0;
+        while j + 8 <= len {
+            let chunks = ((len - j) / 8).min(4);
+            match chunks {
+                1 => qrows_group::<1>(acc, x, j, rows, row0, weights),
+                2 => qrows_group::<2>(acc, x, j, rows, row0, weights),
+                3 => qrows_group::<3>(acc, x, j, rows, row0, weights),
+                _ => qrows_group::<4>(acc, x, j, rows, row0, weights),
+            }
+            j += 8 * chunks;
         }
-        while i < n {
-            let xi = *x.get_unchecked(i);
-            let ai = *acc.get_unchecked(i);
-            *acc.get_unchecked_mut(i) = ai.wrapping_add(w.wrapping_mul(xi));
-            i += 1;
+        if j < len {
+            for (&r, &w) in rows.iter().zip(weights) {
+                let at = (usize::from(r) - row0) * len;
+                let w = i32::from(w);
+                for (a, &xv) in acc[j..].iter_mut().zip(&x[at + j..at + len]) {
+                    *a = a.wrapping_add(w.wrapping_mul(xv));
+                }
+            }
+        }
+    }
+}
+
+/// One group of `N` chunks starting at lane `j` of [`qaxpy_rows_avx2`].
+///
+/// # Safety
+///
+/// Requires AVX2 and `j + 8 * N <= acc.len()`.
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn qrows_group<const N: usize>(
+    acc: &mut [i32],
+    x: &[i32],
+    j: usize,
+    rows: &[u16],
+    row0: usize,
+    weights: &[i8],
+) {
+    // SAFETY: `j + 8 * N <= acc.len()` bounds every access to `acc`, and
+    // every read of `x` goes through the checked slice `src` of `8 * N`
+    // values.
+    unsafe {
+        let len = acc.len();
+        let mut av = [_mm256_setzero_si256(); N];
+        for (i, a) in av.iter_mut().enumerate() {
+            *a = _mm256_loadu_si256(acc.as_ptr().add(j + 8 * i) as *const __m256i);
+        }
+        for (&r, &w) in rows.iter().zip(weights) {
+            let at = (usize::from(r) - row0) * len + j;
+            let src = &x[at..at + 8 * N];
+            let wv = _mm256_set1_epi32(i32::from(w));
+            for (i, a) in av.iter_mut().enumerate() {
+                let xv = _mm256_loadu_si256(src.as_ptr().add(8 * i) as *const __m256i);
+                *a = _mm256_add_epi32(*a, _mm256_mullo_epi32(wv, xv));
+            }
+        }
+        for (i, a) in av.iter().enumerate() {
+            _mm256_storeu_si256(acc.as_mut_ptr().add(j + 8 * i) as *mut __m256i, *a);
         }
     }
 }

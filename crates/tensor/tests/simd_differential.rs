@@ -13,7 +13,7 @@ use hd_tensor::csc_conv::conv2d_sparse_csc;
 use hd_tensor::gemm::{gemm, GemmBlocking};
 use hd_tensor::im2col::conv2d_im2col_gemm;
 use hd_tensor::qconv::{qconv2d, qconv2d_reference, requantize, QConvParams};
-use hd_tensor::simd;
+use hd_tensor::simd::{self, scalar};
 use hd_tensor::{QTensor3, QTensor4, QuantParams, Tensor3, Tensor4};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -274,6 +274,54 @@ proptest! {
                 vector.data()[..npos].iter().all(|&q| q == bias),
                 "a fully pruned filter must output its requantized bias"
             );
+        }
+    }
+}
+
+/// The per-filter INT8 kernel (`qaxpy_rows`) on both dispatch modes
+/// against one scalar `qaxpy` per weight, at the accumulator extremes
+/// (`w = ±127`, `|x - zp| = 255`) and on random values, for every length
+/// 1..=40 — whole 8-lane chunks, the 32-lane register groups and every
+/// tail — and for weight lists from empty to longer than a group.
+#[test]
+fn qaxpy_rows_matches_per_weight_qaxpy() {
+    let mut rng = StdRng::seed_from_u64(0x51AB);
+    for len in 1usize..=40 {
+        for n in [0usize, 1, 2, 7, 33] {
+            for extreme in [true, false] {
+                let row0 = rng.gen_range(0usize..3);
+                let n_rows = 5;
+                let x: Vec<i32> = (0..n_rows * len)
+                    .map(|_| match extreme {
+                        true if rng.gen_bool(0.5) => 255,
+                        true => -255,
+                        false => rng.gen_range(-255..=255),
+                    })
+                    .collect();
+                let rows: Vec<u16> = (0..n)
+                    .map(|_| (row0 + rng.gen_range(0..n_rows)) as u16)
+                    .collect();
+                let weights: Vec<i8> = (0..n)
+                    .map(|_| match extreme {
+                        true if rng.gen_bool(0.5) => 127,
+                        true => -127,
+                        false => rng.gen_range(-127..=127),
+                    })
+                    .collect();
+                let acc0: Vec<i32> = (0..len).map(|_| rng.gen_range(-50_000..50_000)).collect();
+                let (vector, scalar_path) = both_paths(|| {
+                    let mut acc = acc0.clone();
+                    simd::qaxpy_rows(&mut acc, &x, &rows, row0, &weights);
+                    acc
+                });
+                let mut want = acc0.clone();
+                for (&r, &w) in rows.iter().zip(&weights) {
+                    let at = (usize::from(r) - row0) * len;
+                    scalar::qaxpy(&mut want, &x[at..at + len], i32::from(w));
+                }
+                assert_eq!(vector, scalar_path, "len {len}, {n} weights: modes diverge");
+                assert_eq!(vector, want, "len {len}, {n} weights: differs from qaxpy");
+            }
         }
     }
 }

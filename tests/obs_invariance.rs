@@ -260,3 +260,67 @@ fn chrome_trace_has_a_span_per_executed_layer() {
         assert_eq!(e.get("cat").and_then(|c| c.as_str()), Some("hd-obs"));
     }
 }
+
+/// The dirty-column telemetry of one device: two runs of a stripe probe
+/// (one cache miss, one hit) and one dense image (no dirty-column walk).
+fn dirty_column_counters(cfg: AccelConfig) -> [(String, u64); 6] {
+    hd_obs::reset();
+    hd_obs::set_enabled(true);
+    let (net, params) = victim();
+    let dev = Device::new(net, params, cfg);
+    let mut stripe = Tensor3::zeros(3, 16, 16);
+    for ch in 0..3 {
+        for y in 0..16 {
+            stripe.set(ch, y, 5, if (ch + y) % 2 == 0 { 0.75 } else { -0.5 });
+        }
+    }
+    dev.run(&stripe);
+    dev.run(&stripe);
+    dev.run(&Tensor3::full(3, 16, 16, 0.5));
+    hd_obs::set_enabled(false);
+    let snap = hd_obs::snapshot();
+    hd_obs::reset();
+    let hist = snap.hist("sparse_fwd.colspan_width", "");
+    [
+        (
+            "miss",
+            snap.counter("device.fwd_cache", "miss").unwrap_or(0),
+        ),
+        ("hit", snap.counter("device.fwd_cache", "hit").unwrap_or(0)),
+        (
+            "recomputed",
+            snap.counter("sparse_fwd.cols_recomputed", "").unwrap_or(0),
+        ),
+        (
+            "skipped",
+            snap.counter("sparse_fwd.cols_skipped", "").unwrap_or(0),
+        ),
+        ("width samples", hist.map_or(0, |h| h.count)),
+        ("widest span", hist.map_or(0, |h| h.max as u64)),
+    ]
+    .map(|(k, v)| (k.to_string(), v))
+}
+
+#[test]
+fn int8_probes_record_the_same_dirty_column_telemetry_as_f32() {
+    let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let f32_counters = dirty_column_counters(AccelConfig::eyeriss_v2());
+    let int8_counters =
+        dirty_column_counters(AccelConfig::eyeriss_v2().with_precision(hd_accel::Precision::Int8));
+    let get = |k: &str| {
+        int8_counters
+            .iter()
+            .find(|(n, _)| n == k)
+            .map_or(0, |(_, v)| *v)
+    };
+    assert_eq!((get("miss"), get("hit")), (1, 1), "{int8_counters:?}");
+    assert!(
+        get("recomputed") > 0 && get("skipped") > 0,
+        "{int8_counters:?}"
+    );
+    // Three map-valued non-input nodes (conv, pool, conv) per probe run,
+    // two probe runs; the dense run records no span.
+    assert_eq!(get("width samples"), 6, "{int8_counters:?}");
+    // The span propagation is the same walk, so the counts are too.
+    assert_eq!(int8_counters, f32_counters);
+}
